@@ -39,7 +39,8 @@ real_apply = moves.apply_move
 def corrupted(code, site):
     out = real_apply(code, site)
     if site.kind == moves.R3:
-        out = virtualize(out, {site.expect[0][0].crossing})
+        ci, i = site.pairs[0]
+        out = virtualize(out, {code.components[ci][i].crossing})
     return out
 
 

@@ -1,9 +1,12 @@
-"""Certifying flat knots nontrivial by sweeping all resolutions.
+"""Certifying flat knots nontrivial from their flat weights.
 
 A flat diagram whose every over/under resolution has nonzero polynomial
 cannot be flat-trivial: a trivializing flat isotopy would lift to some
-resolution.  The flat trefoil fails this test (two of its four resolutions
-are unknots), but a census of small flat knots finds diagrams that pass.
+resolution.  The flat labels fix every resolution's weights, so the test
+needs no resolution at all: some resolution has zero polynomial exactly
+when the flat weights come in +e / -e pairs.  The flat trefoil fails this
+test (weights 1 and -1; two of its four resolutions are unknots), but a
+census of small flat knots finds diagrams that pass.
 """
 
 from collections import Counter

@@ -258,31 +258,35 @@ def forget(code: SignedGaussCode) -> FlatCode:
         for comp in code.components))
 
 
+def resolve(code, signs) -> SignedGaussCode:
+    """Resolve every flat passage of ``code`` with the sign ``signs`` gives
+    its crossing; signed passages (in a partly singular code) are kept.
+
+    This is the one resolution rule: sign + puts the R passage over, sign -
+    puts the L passage over.  Either way flat_role() of the result is the
+    flat role again, so forget() undoes resolve().
+    """
+    def passage(p):
+        if not isinstance(p, FlatPassage):
+            return p
+        sign = signs[p.crossing]
+        over_role = RIGHT if sign > 0 else LEFT
+        return Passage(p.crossing, OVER if p.role == over_role else UNDER, sign)
+
+    return SignedGaussCode(tuple(tuple(passage(p) for p in comp)
+                                 for comp in code.components))
+
+
 def resolutions(flat: FlatCode) -> list[SignedGaussCode]:
     """All 2^n assignments of over/under data compatible with a flat code.
 
-    Per crossing the choice is (R passage = over, sign +) or
-    (L passage = over, sign -); either way the flat role rule recovers the
-    input, so forget() of every output equals ``flat``.  Output order is
+    Per crossing the choice is sign + or sign - under resolve(), so forget()
+    of every output equals ``flat``.  Output order is
     deterministic: crossings sorted by id, positive choice first.
     """
     ids = sorted(flat.crossing_ids())
-    out = []
-    for choice in itertools.product((1, -1), repeat=len(ids)):
-        sign_of = dict(zip(ids, choice))
-        comps = []
-        for comp in flat.components:
-            new_comp = []
-            for p in comp:
-                s = sign_of[p.crossing]
-                if s > 0:
-                    role = OVER if p.role == RIGHT else UNDER
-                else:
-                    role = OVER if p.role == LEFT else UNDER
-                new_comp.append(Passage(p.crossing, role, s))
-            comps.append(tuple(new_comp))
-        out.append(SignedGaussCode(tuple(comps)))
-    return out
+    return [resolve(flat, dict(zip(ids, choice)))
+            for choice in itertools.product((1, -1), repeat=len(ids))]
 
 
 def _pairings(slots: tuple[int, ...]):

@@ -20,6 +20,7 @@ give an invariant of the (diagram, coloring) pair.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -28,8 +29,8 @@ from .coloring import ChengColoring, colorability, incoming_label, \
     lambda_coloring, verify_coloring
 from .diagram_ops import switch_crossings, writhe
 from .errors import UncolorableError, ValidationError
-from .gauss_code import LEFT, OVER, RIGHT, UNDER, FlatPassage, Passage, \
-    SignedGaussCode, flat_role, validate
+from .gauss_code import LEFT, OVER, RIGHT, UNDER, FlatCode, FlatPassage, \
+    Passage, SignedGaussCode, flat_role, resolve, validate
 from .laurent import LaurentPolynomial
 
 
@@ -255,54 +256,59 @@ def validate_singular(g: SingularCode) -> list[str]:
     return violations
 
 
-def _resolve_singular(g: SingularCode, signs: dict[int, int]) -> SignedGaussCode:
-    comps = []
-    for comp in g.components:
-        new_comp = []
-        for p in comp:
-            if isinstance(p, FlatPassage):
-                s = signs[p.crossing]
-                if s > 0:
-                    role = OVER if p.role == RIGHT else UNDER
-                else:
-                    role = OVER if p.role == LEFT else UNDER
-                new_comp.append(Passage(p.crossing, role, s))
-            else:
-                new_comp.append(p)
-        comps.append(tuple(new_comp))
-    return SignedGaussCode(tuple(comps))
+def flat_weights(code) -> dict[int, int]:
+    """W_plus of every crossing of a one-component diagram, by crossing id.
+
+    Only flat roles are read, so ``code`` may be flat, signed or partly
+    singular.  Labels propagate once from 0 and W_plus = in(R) - in(L) - 1;
+    the base label cancels in the difference.  Since W_minus = -W_plus, the
+    resolution with signs s has weight s_c * w_c at crossing c.
+    """
+    if len(code.components) != 1:
+        raise ValueError("flat weights are defined for one-component codes")
+    label = 0
+    incoming: dict[tuple[int, str], int] = {}
+    for p in code.components[0]:
+        role = p.role if isinstance(p, FlatPassage) else flat_role(p)
+        incoming[p.crossing, role] = label
+        label += 1 if role == LEFT else -1
+    return {cid: incoming[cid, RIGHT] - incoming[cid, LEFT] - 1
+            for cid in sorted({cid for cid, _role in incoming})}
 
 
 def graph_polynomial(g: SingularCode) -> LaurentPolynomial:
-    """Polynomial of a 4-valent graph diagram, by expanding each node as
+    """Polynomial of a 4-valent graph diagram: each singular node expands as
     (positive resolution) - (negative resolution).
 
-    The sum runs over all 2^m sign assignments with product-of-signs
-    coefficients; with no singular nodes this is the ordinary polynomial.
+    The expansion has a closed form.  Switching a crossing leaves the flat
+    diagram alone, so one node gives the skein value t^w + t^-w - 2 with w
+    the node's flat W_plus, and with two or more nodes the differences cancel
+    exactly to 0.  With no singular nodes this is the ordinary polynomial.
     """
     violations = validate_singular(g)
     if violations:
         raise ValidationError("; ".join(violations))
     if len(g.components) != 1:
         raise ValueError("graph_polynomial needs a one-component code")
-    ids = sorted(g.singular_ids())
-    total = LaurentPolynomial.zero()
-    for choice in itertools.product((1, -1), repeat=len(ids)):
-        coefficient = 1
-        for s in choice:
-            coefficient *= s
-        resolved = _resolve_singular(g, dict(zip(ids, choice)))
-        total = total + affine_index_polynomial(resolved).scaled(coefficient)
-    return total
+    ids = g.singular_ids()
+    if not ids:
+        return affine_index_polynomial(resolve(g, {}))
+    if len(ids) > 1:
+        return LaurentPolynomial.zero()
+    (cid,) = ids
+    w = flat_weights(g)[cid]
+    return (LaurentPolynomial.monomial(w) + LaurentPolynomial.monomial(-w)
+            - LaurentPolynomial.monomial(0, 2))
 
 
 @dataclass(frozen=True)
 class FlatCertificate:
     """Result of checking every resolution of a flat knot.
 
-    certified is True when no resolution has zero polynomial; witness is a
-    zero-polynomial resolution otherwise.  polynomials lists all resolution
-    values in enumeration order.
+    certified is True when no resolution has zero polynomial; witness is the
+    first zero-polynomial resolution in enumeration order otherwise.
+    polynomials lists all 2^n resolution values in the order of
+    gauss_code.resolutions().
     """
 
     certified: bool
@@ -310,22 +316,41 @@ class FlatCertificate:
     polynomials: tuple[LaurentPolynomial, ...]
 
 
-def flat_nontriviality_certificate(flat) -> FlatCertificate:
+def flat_nontriviality_certificate(flat: FlatCode) -> FlatCertificate:
     """Certify a flat knot nontrivial: every resolution has P != 0.
 
     A trivializable flat diagram would be overlaid by a trivializing isotopy
     for some resolution, so an all-nonzero sweep certifies the flat knot
     itself nontrivial.
-    """
-    from .gauss_code import resolutions
 
+    No resolution is built for the sweep: with w the flat weights,
+    resolution s has P = sum of s_c * (t^(s_c * w_c) - 1).  For e > 0 only
+    the crossings with |w_c| = e reach t^e and t^-e, and both coefficients
+    vanish exactly when m_e = m_-e (the counts of w_c = e and w_c = -e) and
+    m_e of those crossings are positive.  So a zero resolution exists iff
+    the weight multiset is symmetric, and the first one in enumeration order
+    makes the first m_e crossings by id of each |w| = e positive, the rest
+    negative, and every w = 0 crossing positive.  Only that witness is built,
+    and its polynomial is checked once.
+    """
     if len(flat.components) != 1:
         raise ValueError("flat certificates are defined for one-component codes")
+    weights = flat_weights(flat)
     polys = []
-    witness = None
-    for resolution in resolutions(flat):
-        p = affine_index_polynomial(resolution)
-        polys.append(p)
-        if p.is_zero() and witness is None:
-            witness = resolution
-    return FlatCertificate(witness is None, witness, tuple(polys))
+    for choice in itertools.product((1, -1), repeat=len(weights)):
+        coeffs = {0: -sum(choice)}
+        for s, w in zip(choice, weights.values()):
+            coeffs[s * w] = coeffs.get(s * w, 0) + s
+        polys.append(LaurentPolynomial.from_dict(coeffs))
+    counts = Counter(weights.values())
+    if any(counts[e] != counts[-e] for e in counts):
+        return FlatCertificate(True, None, tuple(polys))
+    placed: Counter[int] = Counter()
+    signs = {}
+    for cid, w in weights.items():
+        signs[cid] = 1 if placed[abs(w)] < counts[abs(w)] else -1
+        placed[abs(w)] += 1
+    witness = resolve(flat, signs)
+    if not affine_index_polynomial(witness).is_zero():
+        raise AssertionError("closed-form witness has a nonzero polynomial")
+    return FlatCertificate(False, witness, tuple(polys))

@@ -23,11 +23,11 @@ gaps.  Fresh ids are max id + 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import StaleSiteError
-from .gauss_code import OVER, RIGHT, UNDER, FlatCode, Passage, \
-    SignedGaussCode, canonicalize, forget
+from .gauss_code import OVER, UNDER, FlatCode, Passage, SignedGaussCode, \
+    canonicalize, forget, resolve
 from .invariant import affine_index_polynomial
 
 R1_INSERT = "R1_insert"
@@ -48,8 +48,9 @@ class MoveSite:
 
     pairs lists (component, position) of matched adjacent pairs, each pair
     occupying position and position+1 (cyclically); gaps lists insertion
-    points (component, slot).  expect records the matched passages so a site
-    can detect that the code changed under it.
+    points (component, slot).  apply_move() matches the pattern again at
+    these positions, so a stale or hand-built site that does not fit the
+    code is rejected.
     """
 
     kind: str
@@ -57,7 +58,6 @@ class MoveSite:
     gaps: tuple[tuple[int, int], ...] = ()
     sign: int = 0
     variant: str = ""
-    expect: tuple = field(default=(), compare=False)
 
     def describe(self) -> str:
         bits = [self.kind]
@@ -92,6 +92,39 @@ def _pair_at(code: SignedGaussCode, pair: tuple[int, int]):
     return comp[i], comp[(i + 1) % len(comp)]
 
 
+def _is_curl(p1: Passage, p2: Passage) -> bool:
+    return p1.crossing == p2.crossing
+
+
+def _is_r2_half(p1: Passage, p2: Passage, role: str) -> bool:
+    """Both passages in ``role`` with opposite signs."""
+    return p1.role == role and p2.role == role and p1.sign == -p2.sign
+
+
+def _r2_variant(o1: Passage, o2: Passage, u1: Passage, u2: Passage) -> str | None:
+    """How an over half and an under half pair up, or None if they do not."""
+    if (u1.crossing, u2.crossing) == (o1.crossing, o2.crossing):
+        return COHERENT
+    if (u1.crossing, u2.crossing) == (o2.crossing, o1.crossing):
+        return ANTIPARALLEL
+    return None
+
+
+def _is_positive(p1: Passage, p2: Passage) -> bool:
+    return p1.sign == 1 and p2.sign == 1
+
+
+def _is_r3(top, middle, bottom) -> bool:
+    """(O_a O_b) (U_a O_c) (U_b U_c), all positive, c distinct from a, b."""
+    (oa, ob), (ua, oc), (ub, uc) = top, middle, bottom
+    return (all(_is_positive(*pair) for pair in (top, middle, bottom))
+            and (oa.role, ob.role, ua.role, oc.role, ub.role, uc.role)
+            == (OVER, OVER, UNDER, OVER, UNDER, UNDER)
+            and (ua.crossing, ub.crossing, uc.crossing)
+            == (oa.crossing, ob.crossing, oc.crossing)
+            and oc.crossing not in (oa.crossing, ob.crossing))
+
+
 def find_move_sites(code: SignedGaussCode, kind: str) -> list[MoveSite]:
     """All matches of one move kind, in deterministic scan order.
 
@@ -109,38 +142,32 @@ def find_move_sites(code: SignedGaussCode, kind: str) -> list[MoveSite]:
     if kind == R1_DELETE:
         sites, seen = [], set()
         for ci, i, p1, p2 in _adjacent_pairs(code):
-            if p1.crossing == p2.crossing:
+            if _is_curl(p1, p2):
                 j = (i + 1) % len(code.components[ci])
                 key = (ci, frozenset((i, j)))
                 if key not in seen:
                     seen.add(key)
-                    sites.append(MoveSite(R1_DELETE, pairs=((ci, i),),
-                                          expect=((p1, p2),)))
+                    sites.append(MoveSite(R1_DELETE, pairs=((ci, i),)))
         return sites
     if kind == R2_DELETE:
         over_pairs, under_pairs = [], []
         for ci, i, p1, p2 in _adjacent_pairs(code):
-            if p1.role == OVER and p2.role == OVER and p1.sign == -p2.sign:
+            if _is_r2_half(p1, p2, OVER):
                 over_pairs.append((ci, i, p1, p2))
-            if p1.role == UNDER and p2.role == UNDER and p1.sign == -p2.sign:
+            if _is_r2_half(p1, p2, UNDER):
                 under_pairs.append((ci, i, p1, p2))
         sites = []
         for oc, oi, o1, o2 in over_pairs:
             for uc, ui, u1, u2 in under_pairs:
-                if (u1.crossing, u2.crossing) == (o1.crossing, o2.crossing):
-                    variant = COHERENT
-                elif (u1.crossing, u2.crossing) == (o2.crossing, o1.crossing):
-                    variant = ANTIPARALLEL
-                else:
-                    continue
-                sites.append(MoveSite(R2_DELETE, pairs=((oc, oi), (uc, ui)),
-                                      variant=variant,
-                                      expect=((o1, o2), (u1, u2))))
+                variant = _r2_variant(o1, o2, u1, u2)
+                if variant is not None:
+                    sites.append(MoveSite(R2_DELETE, pairs=((oc, oi), (uc, ui)),
+                                          variant=variant))
         return sites
     if kind == R3:
         oo, uo, uu = [], {}, {}
         for ci, i, p1, p2 in _adjacent_pairs(code):
-            if p1.sign != 1 or p2.sign != 1:
+            if not _is_positive(p1, p2):
                 continue
             roles = (p1.role, p2.role)
             if roles == (OVER, OVER):
@@ -153,15 +180,12 @@ def find_move_sites(code: SignedGaussCode, kind: str) -> list[MoveSite]:
         for oc, oi, oa, ob in oo:
             a, b = oa.crossing, ob.crossing
             for mc, mi, ua, ocr in uo.get(a, []):
-                c = ocr.crossing
-                if c in (a, b):
-                    continue
-                bottom = uu.get((b, c))
+                bottom = uu.get((b, ocr.crossing))
                 if bottom is None:
                     continue
                 bc, bi, ub, uc = bottom
-                sites.append(MoveSite(R3, pairs=((oc, oi), (mc, mi), (bc, bi)),
-                                      expect=((oa, ob), (ua, ocr), (ub, uc))))
+                if _is_r3((oa, ob), (ua, ocr), (ub, uc)):
+                    sites.append(MoveSite(R3, pairs=((oc, oi), (mc, mi), (bc, bi))))
         return sites
     raise ValueError(f"unknown move kind {kind!r}")
 
@@ -170,13 +194,25 @@ def _fresh_id(code: SignedGaussCode) -> int:
     return max(code.crossing_ids(), default=0) + 1
 
 
-def _check_pairs(code: SignedGaussCode, site: MoveSite) -> None:
-    for pair, expected in zip(site.pairs, site.expect):
-        ci, i = pair
-        if ci >= len(code.components) or i >= len(code.components[ci]):
+def _check_site(code: SignedGaussCode, site: MoveSite) -> None:
+    """Raise StaleSiteError unless the site's pattern matches ``code``."""
+    found = []
+    for ci, i in site.pairs:
+        if not (0 <= ci < len(code.components)
+                and 0 <= i < len(code.components[ci])
+                and len(code.components[ci]) >= 2):
             raise StaleSiteError(f"site {site.describe()} is out of range")
-        if _pair_at(code, pair) != expected:
-            raise StaleSiteError(f"site {site.describe()} no longer matches")
+        found.append(_pair_at(code, (ci, i)))
+    if site.kind == R1_DELETE:
+        ok = len(found) == 1 and _is_curl(*found[0])
+    elif site.kind == R2_DELETE:
+        ok = (len(found) == 2 and _is_r2_half(*found[0], OVER)
+              and _is_r2_half(*found[1], UNDER)
+              and _r2_variant(*found[0], *found[1]) == site.variant)
+    else:
+        ok = len(found) == 3 and _is_r3(*found)
+    if not ok:
+        raise StaleSiteError(f"site {site.describe()} does not match the code")
 
 
 def _insert(components: list[list[Passage]], gap: tuple[int, int],
@@ -188,10 +224,12 @@ def _insert(components: list[list[Passage]], gap: tuple[int, int],
 
 
 def apply_move(code: SignedGaussCode, site: MoveSite) -> SignedGaussCode:
-    """Apply a site produced for this exact code; raises StaleSiteError if
-    the recorded pattern no longer matches.  Output ids and rotation are kept
+    """Apply a site to ``code``; raises StaleSiteError if the kind's pattern
+    does not match at the site's positions.  Output ids and rotation are kept
     raw (no canonicalization); insertions use fresh ids above the maximum."""
     components = [list(comp) for comp in code.components]
+    if site.kind in (R1_INSERT, R2_INSERT) and site.sign not in (1, -1):
+        raise ValueError(f"insert site needs sign 1 or -1, got {site.sign!r}")
     if site.kind == R1_INSERT:
         z = _fresh_id(code)
         _insert(components, site.gaps[0],
@@ -215,7 +253,7 @@ def apply_move(code: SignedGaussCode, site: MoveSite) -> SignedGaussCode:
             _insert(components, (c1, s1), over)
             _insert(components, (c2, s2), under)
     elif site.kind in (R1_DELETE, R2_DELETE):
-        _check_pairs(code, site)
+        _check_site(code, site)
         doomed: dict[int, set[int]] = {}
         for ci, i in site.pairs:
             n = len(code.components[ci])
@@ -223,27 +261,13 @@ def apply_move(code: SignedGaussCode, site: MoveSite) -> SignedGaussCode:
         components = [[p for pi, p in enumerate(comp) if pi not in doomed.get(ci, ())]
                       for ci, comp in enumerate(components)]
     elif site.kind == R3:
-        _check_pairs(code, site)
+        _check_site(code, site)
         for ci, i in site.pairs:
             comp = components[ci]
             j = (i + 1) % len(comp)
             comp[i], comp[j] = comp[j], comp[i]
     else:
         raise ValueError(f"unknown move kind {site.kind!r}")
-    return SignedGaussCode(tuple(tuple(comp) for comp in components))
-
-
-def _swap_pairs(code: SignedGaussCode, pairs) -> SignedGaussCode:
-    """Swap each adjacent pair in place, without pattern checks.
-
-    Applying the same pairs twice restores the code; used to exercise the
-    involution property of the triangle move.
-    """
-    components = [list(comp) for comp in code.components]
-    for ci, i in pairs:
-        comp = components[ci]
-        j = (i + 1) % len(comp)
-        comp[i], comp[j] = comp[j], comp[i]
     return SignedGaussCode(tuple(tuple(comp) for comp in components))
 
 
@@ -343,10 +367,7 @@ def invariance_report(seeds, steps: int, trials: int, seed: int) -> InvarianceRe
 
 def positive_resolution(flat: FlatCode) -> SignedGaussCode:
     """The all-positive resolution (every R passage over, sign +)."""
-    return SignedGaussCode(tuple(
-        tuple(Passage(p.crossing, OVER if p.role == RIGHT else UNDER, 1)
-              for p in comp)
-        for comp in flat.components))
+    return resolve(flat, dict.fromkeys(flat.crossing_ids(), 1))
 
 
 def flat_random_walk(flat: FlatCode, steps: int, seed: int) -> FlatCode:

@@ -114,7 +114,8 @@ def test_criterion_03_move_invariance_and_mutation(monkeypatch):
         def corrupted(code, site):
             out = real_apply(code, site)
             if site.kind == moves.R3:
-                out = virtualize(out, {site.expect[0][0].crossing})
+                ci, i = site.pairs[0]
+                out = virtualize(out, {code.components[ci][i].crossing})
             return out
 
         monkeypatch.setattr(moves, "apply_move", corrupted)
@@ -184,6 +185,21 @@ def test_criterion_06_vassiliev():
     assert t.elapsed < 5.0
     report(6, f"v1 = 0, v3 = -1 on the weight list; order bound v_n(G) = 0 "
               f"for n < 2m, m in {{1,2}}, 50 codes ({t.elapsed:.2f}s)")
+
+
+def test_graph_polynomial_single_node_value():
+    # criterion 06 holds for any value that is 0 at m = 2 and has v_1 = 0 at
+    # m = 1; this pins the one-node value to P(K+) - P(K-) of two full
+    # resolutions, which is nonzero whenever the node's weight is
+    nonzero = 0
+    rng = random.Random(60607)
+    for _ in range(50):
+        code = random_knot_code(rng, rng.randrange(1, 7))
+        cid = rng.choice(sorted(code.crossing_ids()))
+        pg = graph_polynomial(make_singular(code, {cid}))
+        assert pg == skein_difference(code, cid)
+        nonzero += not pg.is_zero()
+    assert nonzero >= 10
 
 
 def test_criterion_07_affine_search():

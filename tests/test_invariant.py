@@ -252,8 +252,8 @@ class TestGraphPolynomial:
             assert graph_polynomial(make_singular(code, chosen)).is_zero()
 
     def test_expansion_order_independent(self, rng):
-        # recursive node-by-node expansion, highest id first (the opposite
-        # of the implementation's enumeration), must agree by bilinearity
+        # the 2^m expansion, node by node from the highest id, is the
+        # oracle for the closed form
         from vknot.gauss_code import LEFT, RIGHT, OVER, UNDER, FlatPassage, Passage, SignedGaussCode
         from vknot.invariant import SingularCode
 
@@ -278,12 +278,12 @@ class TestGraphPolynomial:
                 out = out + recursive(resolve_one(g, cid, s)).scaled(s)
             return out
 
-        for _ in range(10):
-            code = random_knot_code(rng, rng.randrange(2, 6))
-            ids = sorted(code.crossing_ids())
-            chosen = set(rng.sample(ids, min(2, len(ids))))
-            g = make_singular(code, chosen)
-            assert graph_polynomial(g) == recursive(g)
+        for m in (1, 2, 3):
+            for _ in range(10):
+                code = random_knot_code(rng, rng.randrange(m, 7))
+                chosen = set(rng.sample(sorted(code.crossing_ids()), m))
+                g = make_singular(code, chosen)
+                assert graph_polynomial(g) == recursive(g)
 
     def test_validation(self):
         g = make_singular(parse_signed(VT), {1})

@@ -25,12 +25,26 @@ from vknot.moves import (
     R2_DELETE,
     R2_INSERT,
     R3,
-    _swap_pairs,
 )
+from vknot.gauss_code import SignedGaussCode
 
 from conftest import random_knot_code
 
 VT = "O1+ O2+ U1+ U2+"
+
+
+def _swap_pairs(code: SignedGaussCode, pairs) -> SignedGaussCode:
+    """Swap each adjacent pair in place, without pattern checks.
+
+    Applying the same pairs twice restores the code; used to exercise the
+    involution property of the triangle move.
+    """
+    components = [list(comp) for comp in code.components]
+    for ci, i in pairs:
+        comp = components[ci]
+        j = (i + 1) % len(comp)
+        comp[i], comp[j] = comp[j], comp[i]
+    return SignedGaussCode(tuple(tuple(comp) for comp in components))
 
 
 class TestFindSites:
@@ -88,11 +102,38 @@ class TestApplyMove:
         assert _swap_pairs(_swap_pairs(code, site.pairs), site.pairs) == code
 
     def test_stale_site_rejected(self):
+        # a site is a position plus a pattern: it applies wherever the
+        # pattern matches there, and is stale where it does not
         code = parse_signed("O1+ U1+ O2+ O3+ U2+ U3+")
         site = find_move_sites(code, R1_DELETE)[0]
-        other = parse_signed("O3+ U3+ O1+ O2+ U1+ U2+")
+        relabeled = parse_signed("O3+ U3+ O1+ O2+ U1+ U2+")
+        assert serialize(apply_move(relabeled, site)) == "O1+ O2+ U1+ U2+"
+        rotated = parse_signed("O2+ O3+ U2+ U3+ O1+ U1+")
         with pytest.raises(StaleSiteError):
-            apply_move(other, site)
+            apply_move(rotated, site)
+
+    def test_hand_built_sites_are_matched(self):
+        code = parse_signed(VT)
+        with pytest.raises(StaleSiteError):
+            apply_move(code, MoveSite(R1_DELETE, pairs=((0, 0),)))
+        with pytest.raises(StaleSiteError):
+            apply_move(code, MoveSite(R1_DELETE, pairs=((0, 7),)))
+        with pytest.raises(StaleSiteError):
+            apply_move(code, MoveSite(R3, pairs=((0, 0), (0, 1), (0, 2))))
+        poke = parse_signed("U1- O2+ O1- U2+")
+        site = find_move_sites(poke, R2_DELETE)[0]
+        assert site.variant == COHERENT
+        with pytest.raises(StaleSiteError):
+            apply_move(poke, MoveSite(R2_DELETE, pairs=site.pairs,
+                                      variant=ANTIPARALLEL))
+        for kind in (R1_INSERT, R2_INSERT):
+            with pytest.raises(ValueError):
+                apply_move(code, MoveSite(kind, gaps=((0, 0), (0, 1)),
+                                          variant=COHERENT))
+        # a one-passage component has no adjacent pair to delete
+        link = parse_signed("O1+ ; U1+")
+        with pytest.raises(StaleSiteError):
+            apply_move(link, MoveSite(R1_DELETE, pairs=((0, 0),)))
 
     def test_r1_insert_then_delete_is_identity(self):
         code = parse_signed(VT)
@@ -205,7 +246,8 @@ class TestInvarianceReport:
         def corrupted(code, site):
             out = real_apply(code, site)
             if site.kind == R3:
-                first = site.expect[0][0].crossing
+                ci, i = site.pairs[0]
+                first = code.components[ci][i].crossing
                 out = virtualize(out, {first})
             return out
 
