@@ -23,9 +23,10 @@ from .diagram_ops import mirror, reverse, smooth_zero_weight, \
 from .errors import ParseError, UncolorableError, ValidationError
 from .gauss_code import canonicalize, forget, parse_flat, \
     parse_signed, serialize
-from .invariant import affine_index_polynomial, crossing_weights, \
-    flat_nontriviality_certificate, graph_polynomial, link_pair_polynomial, \
-    make_singular, symbolic_link_weights, vassiliev_invariant
+from .invariant import _polynomial_from_weights, affine_index_polynomial, \
+    crossing_weights, flat_nontriviality_certificate, graph_polynomial, \
+    link_pair_polynomial, make_singular, symbolic_link_weights, \
+    vassiliev_invariant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,7 +66,7 @@ def _knot_result(code) -> dict:
         raise _UsageError("this subcommand needs a one-component code; "
                           "use link-invariant for links")
     table = crossing_weights(code, coloring)
-    poly = affine_index_polynomial(code)
+    pairs = table.signed_weights()
     return {
         "code": serialize(code),
         "canonical": serialize(canonicalize(code)),
@@ -74,8 +75,8 @@ def _knot_result(code) -> dict:
         "weights": [{"id": e.crossing, "sign": e.sign,
                      "Wplus": e.w_plus, "W": e.weight}
                     for e in table.entries],
-        "polynomial": str(poly),
-        "vassiliev": {str(n): str(vassiliev_invariant(code, n))
+        "polynomial": str(_polynomial_from_weights(table)),
+        "vassiliev": {str(n): str(vassiliev_invariant(pairs, n))
                       for n in range(1, 5)},
     }
 

@@ -27,8 +27,8 @@ class ChengColoring:
         return self.labels[component]
 
     def shifted(self, offset: int) -> "ChengColoring":
-        return ChengColoring(tuple(
-            tuple(l + offset for l in comp) for comp in self.labels))
+        return ChengColoring(tuple([
+            tuple([l + offset for l in comp]) for comp in self.labels]))
 
 
 def serialize_coloring(coloring: ChengColoring) -> str:
@@ -38,8 +38,9 @@ def serialize_coloring(coloring: ChengColoring) -> str:
 
 def _roles(code) -> tuple[tuple[str, ...], ...]:
     if isinstance(code, FlatCode):
-        return tuple(tuple(p.role for p in comp) for comp in code.components)
-    return tuple(tuple(flat_role(p) for p in comp) for comp in code.components)
+        return tuple([tuple([p.role for p in comp]) for comp in code.components])
+    return tuple([tuple([flat_role(p) for p in comp])
+                  for comp in code.components])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 
@@ -191,14 +191,24 @@ def validate(code: SignedGaussCode | FlatCode) -> list[str]:
     return violations
 
 
-def _token_key(p) -> tuple[int, int, int]:
-    # O and L sort before U and R; '+' before '-'
+def _encode(comp, m: int) -> tuple[list[int], list[int]]:
+    """Per passage, its token key less the id term (rank * m + sign rank)
+    and its crossing id; both lists are doubled, so rotation r is the slice
+    r:r + len(comp)."""
+    ranks = []
+    for p in comp:
+        if isinstance(p, Passage):
+            ranks.append((1 if p.role == OVER else 2) * m + (0 if p.sign > 0 else 1))
+        else:
+            ranks.append((1 if p.role == LEFT else 2) * m)
+    ids = [p.crossing for p in comp]
+    return ranks + ranks, ids + ids
+
+
+def _relabeled(p, cid: int):
     if isinstance(p, Passage):
-        return (1 if p.role == OVER else 2, p.crossing, 0 if p.sign > 0 else 1)
-    return (1 if p.role == LEFT else 2, p.crossing, 0)
-
-
-_SEPARATOR_KEY = (0, 0, 0)
+        return Passage(cid, p.role, p.sign)
+    return FlatPassage(cid, p.role)
 
 
 def canonicalize(code):
@@ -209,34 +219,73 @@ def canonicalize(code):
     the lexicographically smallest token stream over all rotations of each
     component and all component orderings.  Idempotent, so two codes describe
     the same diagram exactly when their canonical forms are equal.
+
+    A token is the int rank * m + 2 * id + sign rank (O and L before U and
+    R, '+' before '-', m = 2 * crossings + 2), and each component's rotated
+    tokens followed by a separator 0 form a block.  The separator is smaller
+    than every token and ends every block, so one stream is smaller than
+    another exactly when its block sequence is, compared block by block.
+    The minimum is therefore found one block at a time: empty components
+    come first, and each later level keeps every tied state (relabel map,
+    unplaced components, choices so far) whose blocks equal the level's
+    best.  A candidate block is dropped at its first token greater than the
+    best's, so the search keys no more tokens than the full enumeration of
+    k! * prod len_i streams would, and knots are the one-level case.
     """
     comps = code.components
     if not comps:
         return code
-    best_key = None
-    best_comps = None
-    for perm in itertools.permutations(range(len(comps))):
-        ranges = [range(max(len(comps[ci]), 1)) for ci in perm]
-        for rots in itertools.product(*ranges):
-            relabel: dict[int, int] = {}
-            key = []
-            new_comps = []
-            for ci, r in zip(perm, rots):
-                comp = comps[ci]
-                rotated = comp[r:] + comp[:r]
-                new_comp = []
-                for p in rotated:
-                    cid = relabel.setdefault(p.crossing, len(relabel) + 1)
-                    np = replace(p, crossing=cid)
-                    new_comp.append(np)
-                    key.append(_token_key(np))
-                key.append(_SEPARATOR_KEY)
-                new_comps.append(tuple(new_comp))
-            tkey = tuple(key)
-            if best_key is None or tkey < best_key:
-                best_key = tkey
-                best_comps = tuple(new_comps)
-    return type(code)(best_comps)
+    m = 2 * len({p.crossing for comp in comps for p in comp}) + 2
+    placed = [ci for ci, comp in enumerate(comps) if comp]
+    encoded = {ci: _encode(comps[ci], m) for ci in placed}
+    states = [({}, tuple(placed), ())]
+    for _level in placed:
+        best = None
+        tied = []
+        for relabel, unplaced, chosen in states:
+            base = len(relabel) + 1
+            for ci in unplaced:
+                ranks, ids = encoded[ci]
+                n = len(ranks) // 2
+                for r in range(n):
+                    fresh = {}
+                    nxt = base
+                    key = []
+                    below = best is None
+                    for j in range(r, r + n):
+                        cid = ids[j]
+                        v = relabel.get(cid)
+                        if v is None:
+                            v = fresh.get(cid)
+                            if v is None:
+                                v = fresh[cid] = nxt
+                                nxt += 1
+                        t = ranks[j] + 2 * v
+                        if not below:
+                            b = best[len(key)]
+                            if t > b:
+                                break
+                            below = t < b
+                        key.append(t)
+                    else:
+                        key.append(0)
+                        # best[n] > 0: the best block is longer, so this
+                        # block's separator puts it below
+                        if below or best[n]:
+                            best = key
+                            tied = []
+                        tied.append((relabel, fresh, unplaced, chosen, ci, r))
+        states = [({**relabel, **fresh},
+                   tuple([c for c in unplaced if c != ci]),
+                   chosen + ((ci, r),))
+                  for relabel, fresh, unplaced, chosen, ci, r in tied]
+    relabel, _unplaced, chosen = states[0]
+    out = [()] * (len(comps) - len(placed))
+    for ci, r in chosen:
+        comp = comps[ci]
+        out.append(tuple([_relabeled(p, relabel[p.crossing])
+                          for p in comp[r:] + comp[:r]]))
+    return type(code)(tuple(out))
 
 
 def flat_role(p: Passage) -> str:

@@ -250,8 +250,9 @@ def validate_singular(g: SingularCode) -> list[str]:
             violations.append(f"crossing {cid} is both singular and signed")
         if sorted(roles) != [LEFT, RIGHT]:
             violations.append(f"singular crossing {cid} needs one L and one R passage")
-    plain = SignedGaussCode(tuple(
-        tuple(p for p in comp if isinstance(p, Passage)) for comp in g.components))
+    plain = SignedGaussCode(tuple([
+        tuple([p for p in comp if isinstance(p, Passage)])
+        for comp in g.components]))
     violations.extend(validate(plain))
     return violations
 

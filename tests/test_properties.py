@@ -1,6 +1,7 @@
 """Randomized and property-based checks of the structural invariants."""
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from vknot import (
     verify_coloring,
     writhe,
 )
-from conftest import braid_closure, random_knot_code
+from conftest import braid_closure, random_knot_code, random_link_code
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=60)
@@ -36,6 +37,15 @@ def knot_codes(draw):
     seed = draw(st.integers(min_value=0, max_value=2**30))
     return random_knot_code(random.Random(seed), n) if n else \
         SignedGaussCode(((),))
+
+
+@st.composite
+def link_codes(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**30))
+    code = random_link_code(random.Random(seed), n, k)
+    return forget(code) if draw(st.booleans()) else code
 
 
 @st.composite
@@ -67,6 +77,21 @@ def test_canonicalize_rotation_invariant(code, rot):
     r = rot % len(comp)
     rotated = SignedGaussCode((comp[r:] + comp[:r],))
     assert canonicalize(rotated) == canonicalize(code)
+
+
+@given(link_codes(), st.randoms(use_true_random=False))
+def test_canonicalize_scramble_invariant_on_links(code, rnd):
+    comps = list(code.components)
+    rnd.shuffle(comps)
+    comps = [c[r:] + c[:r] for c, r in
+             ((c, rnd.randrange(max(len(c), 1))) for c in comps)]
+    ids = sorted(code.crossing_ids())
+    new_ids = rnd.sample(range(1, 10 * len(ids) + 2), len(ids))
+    mapping = dict(zip(ids, new_ids))
+    scrambled = type(code)(tuple(
+        tuple(replace(p, crossing=mapping[p.crossing]) for p in comp)
+        for comp in comps))
+    assert canonicalize(scrambled) == canonicalize(code)
 
 
 @given(knot_codes())
