@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import moves
+from .coloring import crossing_table
 from .errors import ValidationError
-from .gauss_code import LEFT, RIGHT, FlatCode, SignedGaussCode, forget
+from .gauss_code import FlatCode, SignedGaussCode, forget
 from .diagram_ops import writhe
 
 
@@ -237,33 +238,15 @@ def _arc_counts(flat: FlatCode) -> list[int]:
     return [max(len(comp), 1) for comp in flat.components]
 
 
-def _constraints(flat: FlatCode):
-    """Crossing constraints as (in_r, in_l, out_r, out_l) arc positions."""
-    spots: dict[int, dict[str, tuple[int, int]]] = {}
-    for ci, pi, p in flat.passages():
-        spots.setdefault(p.crossing, {})[p.role] = (ci, pi)
-    out = []
-    for cid in sorted(spots):
-        (rc, rp) = spots[cid][RIGHT]
-        (lc, lp) = spots[cid][LEFT]
-        nr = len(flat.components[rc])
-        nl = len(flat.components[lc])
-        out.append(((rc, (rp - 1) % nr), (lc, (lp - 1) % nl),
-                    (rc, rp), (lc, lp)))
-    return out
-
-
 def check_coloring(flat: FlatCode, b: FiniteFlatBiquandle, labels) -> bool:
     """True iff the labels satisfy out(R) = in(R)#in(L), out(L) = in(L)*in(R)."""
     counts = _arc_counts(flat)
     if len(labels) != len(counts) or any(len(l) != c for l, c in zip(labels, counts)):
         raise ValidationError("labeling has wrong shape for the code")
-    for (inr, inl, outr, outl) in _constraints(flat):
-        a = labels[inr[0]][inr[1]]
-        bb = labels[inl[0]][inl[1]]
-        if labels[outr[0]][outr[1]] != b.sharp[a][bb]:
-            return False
-        if labels[outl[0]][outl[1]] != b.star[bb][a]:
+    for row in crossing_table(flat).rows:
+        (rc, rp), (lc, lp) = row.right, row.left
+        a, bb = labels[rc][rp - 1], labels[lc][lp - 1]
+        if labels[rc][rp] != b.sharp[a][bb] or labels[lc][lp] != b.star[bb][a]:
             return False
     return True
 
@@ -303,13 +286,12 @@ def enumerate_colorings_fast(flat: FlatCode, b: FiniteFlatBiquandle):
         acc += c
     total = acc
 
-    def arc_index(ci, pi):
-        return offsets[ci] + pi
-
     by_trigger: dict[int, list] = {}
-    for (inr, inl, outr, outl) in _constraints(flat):
-        ar, al = arc_index(*inr), arc_index(*inl)
-        orr, ol = arc_index(*outr), arc_index(*outl)
+    for row in crossing_table(flat).rows:
+        (rc, rp), (lc, lp) = row.right, row.left
+        ar = offsets[rc] + (rp - 1) % counts[rc]
+        al = offsets[lc] + (lp - 1) % counts[lc]
+        orr, ol = offsets[rc] + rp, offsets[lc] + lp
         by_trigger.setdefault(max(ar, al, orr), []).append(("#", ar, al, orr))
         by_trigger.setdefault(max(ar, al, ol), []).append(("*", ar, al, ol))
 
@@ -340,17 +322,6 @@ def enumerate_colorings_fast(flat: FlatCode, b: FiniteFlatBiquandle):
     return out
 
 
-def _signed_crossing_spots(code: SignedGaussCode):
-    spots: dict[int, dict] = {}
-    for ci, pi, p in code.passages():
-        entry = spots.setdefault(p.crossing, {"sign": p.sign})
-        entry[p.role] = (ci, pi)
-    flat = forget(code)
-    for ci, pi, p in flat.passages():
-        spots[p.crossing][p.role] = (ci, pi)
-    return spots
-
-
 def doodle_pre_invariant(code: SignedGaussCode, b: FiniteFlatBiquandle, labels) -> tuple[int, ...]:
     """Exponent vector over Z/n of sum sign(c) t^W(c) - writhe.
 
@@ -366,16 +337,15 @@ def doodle_pre_invariant(code: SignedGaussCode, b: FiniteFlatBiquandle, labels) 
         raise ValidationError("labels do not color the diagram under this table")
     n = b.n
     vector = [0] * n
-    for cid, info in sorted(_signed_crossing_spots(code).items()):
-        rc, rp = info[RIGHT]
-        lc, lp = info[LEFT]
+    for row in crossing_table(code).rows:
+        (rc, rp), (lc, lp) = row.right, row.left
         a = labels[rc][rp - 1]
         bb = labels[lc][lp - 1]
-        if info["sign"] > 0:
+        if row.sign > 0:
             w = (a - b.star[bb][a]) % n
         else:
             w = (bb - b.sharp[a][bb]) % n
-        vector[w] += info["sign"]
+        vector[w] += row.sign
     vector[0] -= writhe(code)
     return tuple(vector)
 

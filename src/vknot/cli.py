@@ -25,8 +25,7 @@ from .gauss_code import canonicalize, forget, parse_flat, \
     parse_signed, serialize
 from .invariant import _polynomial_from_weights, affine_index_polynomial, \
     crossing_weights, flat_nontriviality_certificate, graph_polynomial, \
-    link_pair_polynomial, make_singular, symbolic_link_weights, \
-    vassiliev_invariant
+    make_singular, symbolic_link_weights, vassiliev_invariant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,7 +139,6 @@ def _cmd_link_invariant(args, out):
     offsets = _parse_offsets(args.offsets) if args.offsets else None
     coloring = propagate_coloring(code, offsets)
     table = crossing_weights(code, coloring)
-    poly = link_pair_polynomial(code, coloring)
     _emit({
         "code": serialize(code),
         "offsets": list(offsets) if offsets else [0] * len(code.components),
@@ -148,7 +146,7 @@ def _cmd_link_invariant(args, out):
         "weights": [{"id": e.crossing, "sign": e.sign,
                      "Wplus": e.w_plus, "W": e.weight}
                     for e in table.entries],
-        "polynomial": str(poly),
+        "polynomial": str(_polynomial_from_weights(table)),
     }, args.format, out)
     return EXIT_OK
 
@@ -172,10 +170,11 @@ def _cmd_vassiliev(args, out):
     if len(code.components) != 1:
         raise _UsageError("vassiliev needs a one-component code")
     table = crossing_weights(code)
+    pairs = table.signed_weights()
     _emit({
         "code": serialize(code),
         "weights": [[e.sign, e.weight] for e in table.entries],
-        "vassiliev": {str(n): str(vassiliev_invariant(code, n))
+        "vassiliev": {str(n): str(vassiliev_invariant(pairs, n))
                       for n in range(1, args.max_order + 1)},
     }, args.format, out)
     return EXIT_OK

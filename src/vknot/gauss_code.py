@@ -288,13 +288,16 @@ def canonicalize(code):
     return type(code)(tuple(out))
 
 
-def flat_role(p: Passage) -> str:
-    """Left/right role of a signed passage.
+def flat_role(p: Passage | FlatPassage) -> str:
+    """Left/right role of a passage: a flat passage's own role, or that of
+    a signed passage's strand.
 
     The over strand of a positive crossing is the one crossing to the right
     (its label decreases); flipping either the role or the sign flips the
     flat role.
     """
+    if isinstance(p, FlatPassage):
+        return p.role
     if p.role == OVER:
         return RIGHT if p.sign > 0 else LEFT
     return LEFT if p.sign > 0 else RIGHT

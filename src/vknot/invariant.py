@@ -9,12 +9,17 @@ and the crossing carries
 The weight of a crossing in a signed diagram is W_plus or W_minus according
 to its sign, equivalently label(over-in) - label(under-in) - sign.  Both
 computations are performed and compared at every crossing to guard the
-left/right convention.  The polynomial of a knot K is
+left/right convention: the first reads the labels at the L and R spots of
+the crossing table (coloring.crossing_table), the second at the O and U
+spots, which the table takes from each passage's own over/under role.  The
+polynomial of a knot K is
 
     P_K(t) = sum over crossings of sign(c) * (t^W(c) - 1)
 
 taken with the canonical lambda coloring; links use a supplied coloring and
-give an invariant of the (diagram, coloring) pair.
+give an invariant of the (diagram, coloring) pair.  Weights that need no
+coloring (symbolic link weights, flat weights) are read off the table's
+flat W_plus, computed from labels propagated from 0.
 """
 
 from __future__ import annotations
@@ -25,12 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .coloring import ChengColoring, colorability, incoming_label, \
-    lambda_coloring, verify_coloring
+from .coloring import ChengColoring, crossing_table, incoming_label
 from .diagram_ops import switch_crossings, writhe
 from .errors import UncolorableError, ValidationError
-from .gauss_code import LEFT, OVER, RIGHT, UNDER, FlatCode, FlatPassage, \
-    Passage, SignedGaussCode, flat_role, resolve, validate
+from .gauss_code import FlatCode, FlatPassage, Passage, SignedGaussCode, \
+    flat_role, resolve, validate
 from .laurent import LaurentPolynomial
 
 
@@ -54,16 +58,6 @@ class WeightTable:
         return [(e.sign, e.weight) for e in self.entries]
 
 
-def _crossing_map(code: SignedGaussCode) -> dict[int, dict[str, tuple[int, int]]]:
-    """id -> {'O': (comp, pos), 'U': ..., 'L': ..., 'R': ...} plus sign."""
-    out: dict[int, dict] = {}
-    for ci, pi, p in code.passages():
-        entry = out.setdefault(p.crossing, {"sign": p.sign})
-        entry[p.role] = (ci, pi)
-        entry[flat_role(p)] = (ci, pi)
-    return out
-
-
 def crossing_weights(code: SignedGaussCode, coloring: ChengColoring | None = None) -> WeightTable:
     """Weight table for a colored diagram (canonical coloring for knots).
 
@@ -71,20 +65,20 @@ def crossing_weights(code: SignedGaussCode, coloring: ChengColoring | None = Non
     over/under label difference; a mismatch means the role conventions have
     drifted and raises AssertionError.
     """
+    table = crossing_table(code)
     if coloring is None:
-        coloring = lambda_coloring(code)
-    if not verify_coloring(code, coloring):
+        coloring = table.coloring()
+    if not table.verify(coloring):
         raise ValidationError("coloring does not satisfy the labeling rule")
     entries = []
-    for cid, info in sorted(_crossing_map(code).items()):
-        sign = info["sign"]
-        a = incoming_label(coloring, *info[RIGHT])
-        b = incoming_label(coloring, *info[LEFT])
+    for cid, sign, over, under, left, right, _w in table.rows:
+        a = incoming_label(coloring, *right)
+        b = incoming_label(coloring, *left)
         w_plus = a - (b + 1)
         w_minus = b - (a - 1)
         weight = w_plus if sign > 0 else w_minus
-        over_in = incoming_label(coloring, *info[OVER])
-        under_in = incoming_label(coloring, *info[UNDER])
+        over_in = incoming_label(coloring, *over)
+        under_in = incoming_label(coloring, *under)
         if weight != over_in - under_in - sign:
             raise AssertionError(f"weight convention mismatch at crossing {cid}")
         entries.append(CrossingWeight(cid, sign, w_plus, w_minus, weight))
@@ -143,31 +137,15 @@ def symbolic_link_weights(code: SignedGaussCode) -> tuple[SymbolicWeight, ...]:
     propagation, so each weight is affine in the offsets with unit
     coefficients.
     """
-    report = colorability(code)
+    table = crossing_table(code)
+    report = table.colorability()
     if not report.colorable:
         raise UncolorableError(
             f"role imbalances {report.imbalances} prevent a coloring")
-    # labels relative to a zero base entering each component's first passage
-    rel = []
-    for comp in code.components:
-        labels = []
-        current = 0
-        for p in comp:
-            current += 1 if flat_role(p) == LEFT else -1
-            labels.append(current)
-        rel.append(tuple(labels) if labels else (0,))
-    relative = ChengColoring(tuple(rel))
     out = []
-    for cid, info in sorted(_crossing_map(code).items()):
-        sign = info["sign"]
-        r_comp, _ = info[RIGHT]
-        l_comp, _ = info[LEFT]
-        a = incoming_label(relative, *info[RIGHT])
-        b = incoming_label(relative, *info[LEFT])
-        if sign > 0:
-            out.append(SymbolicWeight(cid, sign, a - b - 1, r_comp, l_comp))
-        else:
-            out.append(SymbolicWeight(cid, sign, b - a + 1, l_comp, r_comp))
+    for cid, sign, _over, _under, left, right, w_plus in table.rows:
+        plus, minus = (right[0], left[0]) if sign > 0 else (left[0], right[0])
+        out.append(SymbolicWeight(cid, sign, sign * w_plus, plus, minus))
     return tuple(out)
 
 
@@ -236,24 +214,17 @@ def make_singular(code: SignedGaussCode, ids) -> SingularCode:
 
 
 def validate_singular(g: SingularCode) -> list[str]:
-    violations = []
-    flat_seen: dict[int, list[str]] = {}
-    signed: dict[int, list[Passage]] = {}
-    for comp in g.components:
-        for p in comp:
-            if isinstance(p, FlatPassage):
-                flat_seen.setdefault(p.crossing, []).append(p.role)
-            else:
-                signed.setdefault(p.crossing, []).append(p)
-    for cid, roles in sorted(flat_seen.items()):
-        if cid in signed:
-            violations.append(f"crossing {cid} is both singular and signed")
-        if sorted(roles) != [LEFT, RIGHT]:
-            violations.append(f"singular crossing {cid} needs one L and one R passage")
     plain = SignedGaussCode(tuple([
         tuple([p for p in comp if isinstance(p, Passage)])
         for comp in g.components]))
+    violations = [f"crossing {cid} is both singular and signed"
+                  for cid in sorted(g.singular_ids() & plain.crossing_ids())]
     violations.extend(validate(plain))
+    if not violations:  # what is left to check is the singular roles
+        try:
+            crossing_table(g)
+        except ValidationError as exc:
+            violations.append(str(exc))
     return violations
 
 
@@ -267,14 +238,7 @@ def flat_weights(code) -> dict[int, int]:
     """
     if len(code.components) != 1:
         raise ValueError("flat weights are defined for one-component codes")
-    label = 0
-    incoming: dict[tuple[int, str], int] = {}
-    for p in code.components[0]:
-        role = p.role if isinstance(p, FlatPassage) else flat_role(p)
-        incoming[p.crossing, role] = label
-        label += 1 if role == LEFT else -1
-    return {cid: incoming[cid, RIGHT] - incoming[cid, LEFT] - 1
-            for cid in sorted({cid for cid, _role in incoming})}
+    return {row.crossing: row.w_plus for row in crossing_table(code).rows}
 
 
 def graph_polynomial(g: SingularCode) -> LaurentPolynomial:

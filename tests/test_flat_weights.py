@@ -14,32 +14,37 @@ import pytest
 from vknot import (
     FlatCertificate,
     affine_index_polynomial,
+    colorability,
     crossing_weights,
     flat_nontriviality_certificate,
+    flat_role,
     forget,
     parse_flat,
     resolutions,
+    symbolic_link_weights,
 )
 from vknot.gauss_code import LEFT, RIGHT, resolve
 from vknot.invariant import flat_weights
 
-from conftest import random_knot_code
+from conftest import random_knot_code, random_link_code
 
 
 def random_flat_knot(rng, n):
     return forget(random_knot_code(rng, n))
 
 
-def chord_index(flat):
-    """Signed count of L minus R passages strictly inside each chord,
-    oriented from the L end to the R end."""
-    word = flat.components[0]
-    where = {(p.crossing, p.role): i for i, p in enumerate(word)}
+def chord_index(word):
+    """Signed count of L minus R passages strictly inside each chord of one
+    component's word, oriented from the L end to the R end.  Only crossings
+    met twice in the word have a chord."""
+    where = {(p.crossing, flat_role(p)): i for i, p in enumerate(word)}
     out = {}
-    for cid in sorted(flat.crossing_ids()):
+    for cid in sorted({p.crossing for p in word}):
+        if (cid, LEFT) not in where or (cid, RIGHT) not in where:
+            continue
         i, j = where[cid, LEFT], where[cid, RIGHT]
         inside = word[min(i, j) + 1:max(i, j)]
-        total = sum(1 if p.role == LEFT else -1 for p in inside)
+        total = sum(1 if flat_role(p) == LEFT else -1 for p in inside)
         out[cid] = total if i < j else -total
     return out
 
@@ -71,7 +76,24 @@ class TestFlatWeights:
         rng = random.Random(1211)
         for _ in range(400):
             flat = random_flat_knot(rng, rng.randrange(0, 10))
-            assert flat_weights(flat) == chord_index(flat)
+            assert flat_weights(flat) == chord_index(flat.components[0])
+        # a link self-crossing's symbolic weight is a constant, and
+        # sign * constant is its flat W_plus
+        self_crossings = 0
+        for _ in range(400):
+            code = random_link_code(rng, rng.randrange(1, 9),
+                                    rng.randrange(2, 4))
+            if not colorability(code).colorable:
+                continue
+            got = {w.crossing: w.sign * w.constant
+                   for w in symbolic_link_weights(code)
+                   if w.plus_component == w.minus_component}
+            expected = {}
+            for comp in code.components:
+                expected.update(chord_index(comp))
+            assert got == expected
+            self_crossings += len(got)
+        assert self_crossings >= 100
 
     def test_signed_code_gives_w_plus(self, rng):
         for _ in range(50):

@@ -3,13 +3,19 @@ from fractions import Fraction
 import pytest
 
 from vknot import (
+    FlatCode,
+    FlatPassage,
+    Passage,
+    SignedGaussCode,
     affine_index_polynomial,
     crossing_weights,
+    enumerate_colorings_fast,
     flat_nontriviality_certificate,
     forget,
     graph_polynomial,
     lambda_coloring,
     link_pair_polynomial,
+    make_affine,
     make_singular,
     mirror,
     parse_flat,
@@ -20,13 +26,15 @@ from vknot import (
     skein_difference,
     switch_crossings,
     symbolic_link_weights,
+    unary_affine_params,
     vassiliev_invariant,
     vassiliev_of_polynomial,
     writhe,
 )
 from vknot.errors import UncolorableError, ValidationError
 from vknot.coloring import ChengColoring
-from vknot.invariant import validate_singular
+from vknot.gauss_code import LEFT, OVER, UNDER
+from vknot.invariant import flat_weights, validate_singular
 from vknot.laurent import LaurentPolynomial
 
 from conftest import random_knot_code, random_link_code
@@ -339,3 +347,30 @@ class TestFlatCertificate:
                 assert all(not p.is_zero() for p in recheck)
             else:
                 assert any(p.is_zero() for p in recheck)
+
+
+UNPAIRED = SignedGaussCode(((Passage(1, OVER, 1), Passage(2, UNDER, 1)),))
+TWO_LEFTS = FlatCode(((FlatPassage(1, LEFT), FlatPassage(1, LEFT)),))
+SIGN_ZERO = SignedGaussCode(((Passage(1, OVER, 0), Passage(1, UNDER, 0)),))
+Z5 = make_affine(unary_affine_params(5, 2, 1))
+
+
+@pytest.mark.parametrize("entry, code", [
+    (crossing_weights, UNPAIRED),
+    (affine_index_polynomial, UNPAIRED),
+    (symbolic_link_weights, UNPAIRED),
+    (flat_weights, UNPAIRED),
+    (flat_weights, TWO_LEFTS),
+    (flat_nontriviality_certificate, TWO_LEFTS),
+    (lambda code: enumerate_colorings_fast(code, Z5), TWO_LEFTS),
+    (crossing_weights, SIGN_ZERO),
+    (symbolic_link_weights, SIGN_ZERO),
+], ids=["weights-unpaired", "polynomial-unpaired", "symbolic-unpaired",
+        "flat-weights-unpaired", "flat-weights-two-lefts",
+        "certificate-two-lefts", "colorings-two-lefts", "weights-sign-zero",
+        "symbolic-sign-zero"])
+def test_malformed_hand_built_codes(entry, code):
+    """Codes built without parse-time validation are rejected with a
+    ValidationError naming the crossing."""
+    with pytest.raises(ValidationError, match="crossing 1 needs one"):
+        entry(code)

@@ -9,8 +9,11 @@ from vknot import (
     Passage,
     SignedGaussCode,
     affine_index_polynomial,
+    apply_move,
     canonicalize,
+    colorability,
     crossing_weights,
+    find_move_sites,
     forget,
     lambda_coloring,
     mirror,
@@ -24,6 +27,8 @@ from vknot import (
     verify_coloring,
     writhe,
 )
+from vknot.gauss_code import OVER, UNDER
+from vknot.moves import R1_DELETE, R1_INSERT, R2_DELETE, R2_INSERT, R3
 from conftest import braid_closure, random_knot_code, random_link_code
 
 settings.register_profile("suite", deadline=None, derandomize=True,
@@ -46,6 +51,38 @@ def link_codes(draw):
     seed = draw(st.integers(min_value=0, max_value=2**30))
     code = random_link_code(random.Random(seed), n, k)
     return forget(code) if draw(st.booleans()) else code
+
+
+def _with_triangle(rng, code):
+    """Splice the all-positive triangle (O_a O_b) (U_a O_c) (U_b U_c), fresh
+    ids a, b, c, into the components: each pair goes to a random component,
+    and a component's pairs sit together at one random gap."""
+    a = max(code.crossing_ids(), default=0) + 1
+    b, c = a + 1, a + 2
+    pieces = [[] for _ in code.components]
+    for pair in ((Passage(a, OVER, 1), Passage(b, OVER, 1)),
+                 (Passage(a, UNDER, 1), Passage(c, OVER, 1)),
+                 (Passage(b, UNDER, 1), Passage(c, UNDER, 1))):
+        pieces[rng.randrange(len(pieces))].extend(pair)
+    comps = []
+    for comp, piece in zip(code.components, pieces):
+        slot = rng.randrange(len(comp) + 1)
+        comps.append(comp[:slot] + tuple(piece) + comp[slot:])
+    return SignedGaussCode(tuple(comps))
+
+
+@st.composite
+def walked_links(draw):
+    """Signed links with 1-3 components after a short random walk, so that
+    delete sites occur, and half of them with an R3 site spliced in."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=3))
+    seed = draw(st.integers(min_value=0, max_value=2**30))
+    rng = random.Random(seed)
+    code = random_link_code(rng, n, k)
+    code = random_walk(code, draw(st.integers(min_value=0, max_value=6)),
+                       seed).code
+    return _with_triangle(rng, code) if draw(st.booleans()) else code
 
 
 @st.composite
@@ -184,3 +221,20 @@ def test_propagation_closure_equals_zero_imbalance(rng):
             assert report.colorable
         except UncolorableError:
             assert not report.colorable
+
+
+@given(walked_links(), st.randoms(use_true_random=False))
+def test_apply_move_keeps_links_valid(code, rnd):
+    """Every delete and R3 site, and sampled insert sites, give a valid code
+    with the same components and per-component role imbalances."""
+    imbalances = colorability(code).imbalances
+    sites = [site for kind in (R1_DELETE, R2_DELETE, R3)
+             for site in find_move_sites(code, kind)]
+    for kind in (R1_INSERT, R2_INSERT):
+        found = find_move_sites(code, kind)
+        sites += rnd.sample(found, min(len(found), 4))
+    for site in sites:
+        moved = apply_move(code, site)
+        assert validate(moved) == []
+        assert len(moved.components) == len(code.components)
+        assert colorability(moved).imbalances == imbalances
