@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import moves
-from .coloring import crossing_table
 from .errors import ValidationError
-from .gauss_code import FlatCode, SignedGaussCode, forget
+from .gauss_code import Diagram, SignedGaussCode
 from .diagram_ops import writhe
 
 
@@ -234,16 +233,20 @@ def weight_condition(b: FiniteFlatBiquandle):
     return None
 
 
-def _arc_counts(flat: FlatCode) -> list[int]:
+def _arc_counts(flat: Diagram) -> list[int]:
     return [max(len(comp), 1) for comp in flat.components]
 
 
-def check_coloring(flat: FlatCode, b: FiniteFlatBiquandle, labels) -> bool:
-    """True iff the labels satisfy out(R) = in(R)#in(L), out(L) = in(L)*in(R)."""
+def check_coloring(flat: Diagram, b: FiniteFlatBiquandle, labels) -> bool:
+    """True iff the labels satisfy out(R) = in(R)#in(L), out(L) = in(L)*in(R).
+
+    Any code is accepted: the L and R spots come from its crossing table,
+    so a signed code is read through the flat roles of its passages.
+    """
     counts = _arc_counts(flat)
     if len(labels) != len(counts) or any(len(l) != c for l, c in zip(labels, counts)):
         raise ValidationError("labeling has wrong shape for the code")
-    for row in crossing_table(flat).rows:
+    for row in flat.table.rows:
         (rc, rp), (lc, lp) = row.right, row.left
         a, bb = labels[rc][rp - 1], labels[lc][lp - 1]
         if labels[rc][rp] != b.sharp[a][bb] or labels[lc][lp] != b.star[bb][a]:
@@ -251,7 +254,7 @@ def check_coloring(flat: FlatCode, b: FiniteFlatBiquandle, labels) -> bool:
     return True
 
 
-def enumerate_colorings(flat: FlatCode, b: FiniteFlatBiquandle):
+def enumerate_colorings(flat: Diagram, b: FiniteFlatBiquandle):
     """All biquandle colorings, by brute force over n^arcs assignments.
 
     Reference semantics; exponential in the arc count.  Output is a list of
@@ -272,11 +275,13 @@ def enumerate_colorings(flat: FlatCode, b: FiniteFlatBiquandle):
     return out
 
 
-def enumerate_colorings_fast(flat: FlatCode, b: FiniteFlatBiquandle):
+def enumerate_colorings_fast(flat: Diagram, b: FiniteFlatBiquandle):
     """Backtracking enumeration; agrees with enumerate_colorings, same order.
 
     Arcs are assigned in component-major order and every crossing constraint
-    is checked as soon as its three arcs are known, pruning early.
+    is checked as soon as its three arcs are known, pruning early.  Like
+    check_coloring it accepts any code, reading a signed one through the
+    flat roles of its passages.
     """
     counts = _arc_counts(flat)
     offsets = []
@@ -287,7 +292,7 @@ def enumerate_colorings_fast(flat: FlatCode, b: FiniteFlatBiquandle):
     total = acc
 
     by_trigger: dict[int, list] = {}
-    for row in crossing_table(flat).rows:
+    for row in flat.table.rows:
         (rc, rp), (lc, lp) = row.right, row.left
         ar = offsets[rc] + (rp - 1) % counts[rc]
         al = offsets[lc] + (lp - 1) % counts[lc]
@@ -332,12 +337,11 @@ def doodle_pre_invariant(code: SignedGaussCode, b: FiniteFlatBiquandle, labels) 
     """
     if weight_condition(b) is not None:
         raise ValueError("biquandle fails the weight condition")
-    flat = forget(code)
-    if not check_coloring(flat, b, labels):
+    if not check_coloring(code, b, labels):
         raise ValidationError("labels do not color the diagram under this table")
     n = b.n
     vector = [0] * n
-    for row in crossing_table(code).rows:
+    for row in code.table.rows:
         (rc, rp), (lc, lp) = row.right, row.left
         a = labels[rc][rp - 1]
         bb = labels[lc][lp - 1]
@@ -352,9 +356,8 @@ def doodle_pre_invariant(code: SignedGaussCode, b: FiniteFlatBiquandle, labels) 
 
 def doodle_invariant_sum(code: SignedGaussCode, b: FiniteFlatBiquandle) -> tuple[int, ...]:
     """Componentwise sum of the pre-invariant over all colorings."""
-    flat = forget(code)
     total = [0] * b.n
-    for labels in enumerate_colorings_fast(flat, b):
+    for labels in enumerate_colorings_fast(code, b):
         vec = doodle_pre_invariant(code, b, labels)
         total = [t + v for t, v in zip(total, vec)]
     return tuple(total)
@@ -389,8 +392,7 @@ def transport_coloring(code: SignedGaussCode, labels, site, b: FiniteFlatBiquand
     the fused boundary labels agree.  Move III sites are rejected (the
     doodle pre-invariant is only a move I/II invariant).
     """
-    flat = forget(code)
-    if not check_coloring(flat, b, labels):
+    if not check_coloring(code, b, labels):
         raise ValidationError("labels do not color the diagram under this table")
     new_code = moves.apply_move(code, site)
     comp_sizes = [len(c) for c in code.components]
@@ -444,7 +446,7 @@ def transport_coloring(code: SignedGaussCode, labels, site, b: FiniteFlatBiquand
         raise ValueError(f"transport does not support {site.kind}")
 
     new_labels = tuple(tuple(c) for c in new_labels)
-    if not check_coloring(forget(new_code), b, new_labels):
+    if not check_coloring(new_code, b, new_labels):
         raise AssertionError("transported labels do not color the new diagram")
     return new_code, new_labels
 

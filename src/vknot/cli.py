@@ -21,8 +21,7 @@ from .coloring import lambda_coloring, propagate_coloring, \
 from .diagram_ops import mirror, reverse, smooth_zero_weight, \
     switch_crossings, virtualize, writhe
 from .errors import ParseError, UncolorableError, ValidationError
-from .gauss_code import canonicalize, forget, parse_flat, \
-    parse_signed, serialize
+from .gauss_code import canonicalize, parse_flat, parse_signed, serialize
 from .invariant import _polynomial_from_weights, affine_index_polynomial, \
     crossing_weights, flat_nontriviality_certificate, graph_polynomial, \
     make_singular, symbolic_link_weights, vassiliev_invariant
@@ -331,8 +330,7 @@ def _cmd_biquandle(args, out):
     if args.action == "doodle":
         code = parse_signed(args.arg1)
         table = _read_table(args.arg2)
-        flat = forget(code)
-        colorings = bq.enumerate_colorings_fast(flat, table)
+        colorings = bq.enumerate_colorings_fast(code, table)
         vectors = [list(bq.doodle_pre_invariant(code, table, labels))
                    for labels in colorings]
         _emit({
@@ -340,7 +338,7 @@ def _cmd_biquandle(args, out):
             "n": table.n,
             "colorings": len(colorings),
             "vectors": vectors,
-            "sum": list(bq.doodle_invariant_sum(code, table)),
+            "sum": [sum(column) for column in zip(*vectors)] or [0] * table.n,
         }, args.format, out)
         return EXIT_OK
     raise _UsageError(f"unknown biquandle action {args.action!r}")

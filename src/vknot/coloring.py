@@ -5,11 +5,13 @@ Arc ``i`` of a component is the segment immediately following passage ``i``
 in cyclic order; a zero-passage component has exactly one arc.  Every label
 is read through one crossing table, built in one pass by crossing_table():
 each crossing's sign and passage spots, and each component's labels
-propagated from 0.  A coloring shifts those labels by a per-component
-offset, so it closes up exactly when the component's role imbalance
-vanishes.  For knots the canonical labeling is lambda(arc) = the signed
-count of crossings first met as overcrossings when traversing the diagram
-from that arc; links carry no canonical base, so their offsets are explicit.
+propagated from 0.  The table depends on the code alone, so it is built
+once per code value and kept as ``code.table``.  A coloring shifts those
+labels by a per-component offset, so it closes up exactly when the
+component's role imbalance vanishes.  For knots the canonical labeling is
+lambda(arc) = the signed count of crossings first met as overcrossings when
+traversing the diagram from that arc; links carry no canonical base, so
+their offsets are explicit.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class CrossingTable:
 
 def crossing_table(code) -> CrossingTable:
     """The crossing table of a signed, flat or partly singular code, in one
-    pass: a crossing's row is made at its second passage.  Raises
+    pass: a crossing's row is made at its second passage.  Uncached; the
+    package reads ``code.table``, which calls this once per code.  Raises
     ValidationError naming a crossing without exactly one L and one R
     passage or, if signed, one O and one U passage of one sign +1 or -1."""
     first: dict[int, object] = {}  # id -> first passage seen, or _PAIRED
@@ -172,7 +175,7 @@ def colorability(code) -> ColorabilityReport:
     Both passages of a self-crossing contribute one L and one R, so any
     one-component diagram is colorable.
     """
-    return crossing_table(code).colorability()
+    return code.table.colorability()
 
 
 def lambda_coloring(code: SignedGaussCode) -> ChengColoring:
@@ -182,7 +185,7 @@ def lambda_coloring(code: SignedGaussCode) -> ChengColoring:
     crossings first met as overcrossings from there, and the remaining
     labels follow by propagation.
     """
-    return crossing_table(code).coloring()
+    return code.table.coloring()
 
 
 def propagate_coloring(code: SignedGaussCode, offsets=None) -> ChengColoring:
@@ -197,12 +200,12 @@ def propagate_coloring(code: SignedGaussCode, offsets=None) -> ChengColoring:
     offsets = (0,) * ncomp if offsets is None else tuple(offsets)
     if len(offsets) != ncomp:
         raise ValueError(f"expected {ncomp} offsets, got {len(offsets)}")
-    return crossing_table(code).coloring(offsets)
+    return code.table.coloring(offsets)
 
 
 def verify_coloring(code, coloring: ChengColoring) -> bool:
     """True iff every passage changes the label by +1 (left) or -1 (right)."""
-    return crossing_table(code).verify(coloring)
+    return code.table.verify(coloring)
 
 
 def incoming_label(coloring: ChengColoring, component: int, position: int) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import ValidationError
 from .gauss_code import OVER, UNDER, Passage, SignedGaussCode
 
 
@@ -124,13 +123,12 @@ def smooth_zero_weight(code: SignedGaussCode, coloring):
 
     At a zero-weight crossing the labels of the fused arcs agree, so the
     inherited labels form a valid coloring of the output (checked).
-    Returns (code, coloring).
+    Returns (code, coloring); a coloring that breaks the labeling rule
+    raises ValidationError from crossing_weights.
     """
     from .coloring import ChengColoring, verify_coloring
     from .invariant import crossing_weights
 
-    if not verify_coloring(code, coloring):
-        raise ValidationError("coloring does not satisfy the labeling rule")
     table = crossing_weights(code, coloring)
     zero_ids = sorted(e.crossing for e in table.entries if e.weight == 0)
     components = [(list(comp), list(labels))

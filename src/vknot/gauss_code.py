@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, ValidationError
 
@@ -53,11 +54,11 @@ class FlatPassage:
     role: str
 
 
-@dataclass(frozen=True)
-class SignedGaussCode:
-    """An oriented virtual knot or link diagram as cyclic passage sequences."""
+class Diagram:
+    """What every code shares: cyclic passage sequences in ``components``,
+    never changed after construction."""
 
-    components: tuple[tuple[Passage, ...], ...]
+    components: tuple[tuple, ...]
 
     def crossing_ids(self) -> set[int]:
         return {p.crossing for comp in self.components for p in comp}
@@ -71,23 +72,27 @@ class SignedGaussCode:
             for pi, p in enumerate(comp):
                 yield ci, pi, p
 
+    @cached_property
+    def table(self):
+        """The code's coloring.CrossingTable, built on first use and kept
+        in the instance ``__dict__``; equality and hashing read the fields
+        only, so the cache never changes what a code is."""
+        from .coloring import crossing_table
+        return crossing_table(self)
+
 
 @dataclass(frozen=True)
-class FlatCode:
+class SignedGaussCode(Diagram):
+    """An oriented virtual knot or link diagram as cyclic passage sequences."""
+
+    components: tuple[tuple[Passage, ...], ...]
+
+
+@dataclass(frozen=True)
+class FlatCode(Diagram):
     """The underlying flat diagram: over/under information forgotten."""
 
     components: tuple[tuple[FlatPassage, ...], ...]
-
-    def crossing_ids(self) -> set[int]:
-        return {p.crossing for comp in self.components for p in comp}
-
-    def n_crossings(self) -> int:
-        return len(self.crossing_ids())
-
-    def passages(self):
-        for ci, comp in enumerate(self.components):
-            for pi, p in enumerate(comp):
-                yield ci, pi, p
 
 
 _TOKEN_RE = re.compile(r"^([OULR])([0-9]+)([+-]?)$")

@@ -10,8 +10,8 @@ The weight of a crossing in a signed diagram is W_plus or W_minus according
 to its sign, equivalently label(over-in) - label(under-in) - sign.  Both
 computations are performed and compared at every crossing to guard the
 left/right convention: the first reads the labels at the L and R spots of
-the crossing table (coloring.crossing_table), the second at the O and U
-spots, which the table takes from each passage's own over/under role.  The
+the crossing table (``code.table``), the second at the O and U spots,
+which the table takes from each passage's own over/under role.  The
 polynomial of a knot K is
 
     P_K(t) = sum over crossings of sign(c) * (t^W(c) - 1)
@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .coloring import ChengColoring, crossing_table, incoming_label
-from .diagram_ops import switch_crossings, writhe
+from .coloring import ChengColoring, incoming_label
+from .diagram_ops import switch_crossings
 from .errors import UncolorableError, ValidationError
-from .gauss_code import FlatCode, FlatPassage, Passage, SignedGaussCode, \
-    flat_role, resolve, validate
+from .gauss_code import Diagram, FlatCode, FlatPassage, Passage, \
+    SignedGaussCode, flat_role, resolve, validate
 from .laurent import LaurentPolynomial
 
 
@@ -65,7 +65,7 @@ def crossing_weights(code: SignedGaussCode, coloring: ChengColoring | None = Non
     over/under label difference; a mismatch means the role conventions have
     drifted and raises AssertionError.
     """
-    table = crossing_table(code)
+    table = code.table
     if coloring is None:
         coloring = table.coloring()
     if not table.verify(coloring):
@@ -137,7 +137,7 @@ def symbolic_link_weights(code: SignedGaussCode) -> tuple[SymbolicWeight, ...]:
     propagation, so each weight is affine in the offsets with unit
     coefficients.
     """
-    table = crossing_table(code)
+    table = code.table
     report = table.colorability()
     if not report.colorable:
         raise UncolorableError(
@@ -187,7 +187,7 @@ def skein_difference(code: SignedGaussCode, cid: int) -> LaurentPolynomial:
 
 
 @dataclass(frozen=True)
-class SingularCode:
+class SingularCode(Diagram):
     """A signed code in which some crossings are graphical nodes.
 
     Singular crossings carry only flat roles (FlatPassage); the rest are
@@ -222,7 +222,7 @@ def validate_singular(g: SingularCode) -> list[str]:
     violations.extend(validate(plain))
     if not violations:  # what is left to check is the singular roles
         try:
-            crossing_table(g)
+            g.table  # built only to run its role checks
         except ValidationError as exc:
             violations.append(str(exc))
     return violations
@@ -238,7 +238,7 @@ def flat_weights(code) -> dict[int, int]:
     """
     if len(code.components) != 1:
         raise ValueError("flat weights are defined for one-component codes")
-    return {row.crossing: row.w_plus for row in crossing_table(code).rows}
+    return {row.crossing: row.w_plus for row in code.table.rows}
 
 
 def graph_polynomial(g: SingularCode) -> LaurentPolynomial:

@@ -125,6 +125,48 @@ def _is_r3(top, middle, bottom) -> bool:
             and oc.crossing not in (oa.crossing, ob.crossing))
 
 
+def _pattern_sites(code: SignedGaussCode) -> dict[str, list[MoveSite]]:
+    """The R1_delete, R2_delete and R3 sites of ``code`` from one pass over
+    its adjacent pairs, each list in scan order."""
+    curls, over_pairs, under_pairs = [], [], []
+    oo, uo, uu = [], {}, {}
+    for ci, i, p1, p2 in _adjacent_pairs(code):
+        # in a two-passage component, pair 1 is pair 0 read the other way
+        if _is_curl(p1, p2) and not (i == 1 and len(code.components[ci]) == 2):
+            curls.append(MoveSite(R1_DELETE, pairs=((ci, i),)))
+        pair = (ci, i, p1, p2)
+        if _is_r2_half(p1, p2, OVER):
+            over_pairs.append(pair)
+        if _is_r2_half(p1, p2, UNDER):
+            under_pairs.append(pair)
+        if _is_positive(p1, p2):
+            roles = (p1.role, p2.role)
+            if roles == (OVER, OVER):
+                oo.append(pair)
+            elif roles == (UNDER, OVER):
+                uo.setdefault(p1.crossing, []).append(pair)
+            elif roles == (UNDER, UNDER):
+                uu[(p1.crossing, p2.crossing)] = pair
+    pokes = []
+    for oc, oi, o1, o2 in over_pairs:
+        for uc, ui, u1, u2 in under_pairs:
+            variant = _r2_variant(o1, o2, u1, u2)
+            if variant is not None:
+                pokes.append(MoveSite(R2_DELETE, pairs=((oc, oi), (uc, ui)),
+                                      variant=variant))
+    triangles = []
+    for oc, oi, oa, ob in oo:
+        a, b = oa.crossing, ob.crossing
+        for mc, mi, ua, ocr in uo.get(a, []):
+            bottom = uu.get((b, ocr.crossing))
+            if bottom is None:
+                continue
+            bc, bi, ub, uc = bottom
+            if _is_r3((oa, ob), (ua, ocr), (ub, uc)):
+                triangles.append(MoveSite(R3, pairs=((oc, oi), (mc, mi), (bc, bi))))
+    return {R1_DELETE: curls, R2_DELETE: pokes, R3: triangles}
+
+
 def find_move_sites(code: SignedGaussCode, kind: str) -> list[MoveSite]:
     """All matches of one move kind, in deterministic scan order.
 
@@ -139,54 +181,8 @@ def find_move_sites(code: SignedGaussCode, kind: str) -> list[MoveSite]:
         return [MoveSite(R2_INSERT, gaps=(g1, g2), sign=s, variant=v)
                 for g1 in gaps for g2 in gaps
                 for s in (1, -1) for v in (COHERENT, ANTIPARALLEL)]
-    if kind == R1_DELETE:
-        sites, seen = [], set()
-        for ci, i, p1, p2 in _adjacent_pairs(code):
-            if _is_curl(p1, p2):
-                j = (i + 1) % len(code.components[ci])
-                key = (ci, frozenset((i, j)))
-                if key not in seen:
-                    seen.add(key)
-                    sites.append(MoveSite(R1_DELETE, pairs=((ci, i),)))
-        return sites
-    if kind == R2_DELETE:
-        over_pairs, under_pairs = [], []
-        for ci, i, p1, p2 in _adjacent_pairs(code):
-            if _is_r2_half(p1, p2, OVER):
-                over_pairs.append((ci, i, p1, p2))
-            if _is_r2_half(p1, p2, UNDER):
-                under_pairs.append((ci, i, p1, p2))
-        sites = []
-        for oc, oi, o1, o2 in over_pairs:
-            for uc, ui, u1, u2 in under_pairs:
-                variant = _r2_variant(o1, o2, u1, u2)
-                if variant is not None:
-                    sites.append(MoveSite(R2_DELETE, pairs=((oc, oi), (uc, ui)),
-                                          variant=variant))
-        return sites
-    if kind == R3:
-        oo, uo, uu = [], {}, {}
-        for ci, i, p1, p2 in _adjacent_pairs(code):
-            if not _is_positive(p1, p2):
-                continue
-            roles = (p1.role, p2.role)
-            if roles == (OVER, OVER):
-                oo.append((ci, i, p1, p2))
-            elif roles == (UNDER, OVER):
-                uo.setdefault(p1.crossing, []).append((ci, i, p1, p2))
-            elif roles == (UNDER, UNDER):
-                uu[(p1.crossing, p2.crossing)] = (ci, i, p1, p2)
-        sites = []
-        for oc, oi, oa, ob in oo:
-            a, b = oa.crossing, ob.crossing
-            for mc, mi, ua, ocr in uo.get(a, []):
-                bottom = uu.get((b, ocr.crossing))
-                if bottom is None:
-                    continue
-                bc, bi, ub, uc = bottom
-                if _is_r3((oa, ob), (ua, ocr), (ub, uc)):
-                    sites.append(MoveSite(R3, pairs=((oc, oi), (mc, mi), (bc, bi))))
-        return sites
+    if kind in (R1_DELETE, R2_DELETE, R3):
+        return _pattern_sites(code)[kind]
     raise ValueError(f"unknown move kind {kind!r}")
 
 
@@ -291,18 +287,11 @@ def random_walk(code: SignedGaussCode, steps: int, seed: int) -> WalkResult:
     current = code
     for _ in range(steps):
         gaps = _gap_list(current)
-        options = []
-        if gaps:
-            options.extend([R1_INSERT, R2_INSERT])
-        by_kind = {}
-        for kind in (R1_DELETE, R2_DELETE, R3):
-            sites = find_move_sites(current, kind)
-            if sites:
-                by_kind[kind] = sites
-                options.append(kind)
+        by_kind = _pattern_sites(current)
+        # insert kinds apply at any gap, the others where a site was found
+        options = [kind for kind in KINDS if by_kind.get(kind, gaps)]
         if not options:
             break
-        options.sort(key=KINDS.index)
         kind = rng.choice(options)
         if kind == R1_INSERT:
             site = MoveSite(R1_INSERT, gaps=(rng.choice(gaps),),

@@ -95,6 +95,24 @@ def random_link_code(rng: random.Random, n_crossings: int,
     return SignedGaussCode(tuple(tuple(c) for c in comps))
 
 
+def with_triangle(rng, code):
+    """Splice the all-positive triangle (O_a O_b) (U_a O_c) (U_b U_c), fresh
+    ids a, b, c, into the components: each pair goes to a random component,
+    and a component's pairs sit together at one random gap."""
+    a = max(code.crossing_ids(), default=0) + 1
+    b, c = a + 1, a + 2
+    pieces = [[] for _ in code.components]
+    for pair in ((Passage(a, OVER, 1), Passage(b, OVER, 1)),
+                 (Passage(a, UNDER, 1), Passage(c, OVER, 1)),
+                 (Passage(b, UNDER, 1), Passage(c, UNDER, 1))):
+        pieces[rng.randrange(len(pieces))].extend(pair)
+    comps = []
+    for comp, piece in zip(code.components, pieces):
+        slot = rng.randrange(len(comp) + 1)
+        comps.append(comp[:slot] + tuple(piece) + comp[slot:])
+    return SignedGaussCode(tuple(comps))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)

@@ -168,6 +168,17 @@ class TestBiquandleCommands:
         assert data["sum"] == [-10, 5, 0, 0, 5]
         assert data["colorings"] == 5
 
+    def test_doodle_without_colorings(self, tmp_path):
+        # each component turns by two roles, which Z/5 cannot close up
+        table_path = tmp_path / "inc.tbl"
+        table_path.write_text(table_to_text(
+            basic_preflat(5, 0, 1)), encoding="utf-8")
+        data = run_json(["biquandle", "doodle", "O1+ O2+ ; U1+ U2+",
+                         str(table_path)])
+        assert data["colorings"] == 0
+        assert data["vectors"] == []
+        assert data["sum"] == [0, 0, 0, 0, 0]
+
     def test_check_reports_axiom3_failure(self, tmp_path):
         table_path = tmp_path / "preflat.tbl"
         table_path.write_text(table_to_text(basic_preflat(5, 2, 0)),

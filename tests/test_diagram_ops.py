@@ -16,6 +16,8 @@ from vknot import (
     virtualize,
     writhe,
 )
+from vknot.coloring import ChengColoring
+from vknot.errors import ValidationError
 from vknot.gauss_code import LEFT, RIGHT
 from vknot.laurent import LaurentPolynomial
 
@@ -188,3 +190,10 @@ class TestSmoothZeroWeight:
         assert len(out.components) == 2
         assert all(comp == () for comp in out.components)
         assert verify_coloring(out, coloring)
+
+    def test_wrong_coloring_rejected(self):
+        code = parse_signed(VT)
+        assert lambda_coloring(code).labels == ((1, 0, 1, 2),)
+        with pytest.raises(ValidationError,
+                           match="^coloring does not satisfy the labeling rule$"):
+            smooth_zero_weight(code, ChengColoring(((1, 0, 1, 3),)))

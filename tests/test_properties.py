@@ -6,7 +6,6 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from vknot import (
-    Passage,
     SignedGaussCode,
     affine_index_polynomial,
     apply_move,
@@ -27,9 +26,9 @@ from vknot import (
     verify_coloring,
     writhe,
 )
-from vknot.gauss_code import OVER, UNDER
 from vknot.moves import R1_DELETE, R1_INSERT, R2_DELETE, R2_INSERT, R3
-from conftest import braid_closure, random_knot_code, random_link_code
+from conftest import braid_closure, random_knot_code, random_link_code, \
+    with_triangle
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=60)
@@ -53,24 +52,6 @@ def link_codes(draw):
     return forget(code) if draw(st.booleans()) else code
 
 
-def _with_triangle(rng, code):
-    """Splice the all-positive triangle (O_a O_b) (U_a O_c) (U_b U_c), fresh
-    ids a, b, c, into the components: each pair goes to a random component,
-    and a component's pairs sit together at one random gap."""
-    a = max(code.crossing_ids(), default=0) + 1
-    b, c = a + 1, a + 2
-    pieces = [[] for _ in code.components]
-    for pair in ((Passage(a, OVER, 1), Passage(b, OVER, 1)),
-                 (Passage(a, UNDER, 1), Passage(c, OVER, 1)),
-                 (Passage(b, UNDER, 1), Passage(c, UNDER, 1))):
-        pieces[rng.randrange(len(pieces))].extend(pair)
-    comps = []
-    for comp, piece in zip(code.components, pieces):
-        slot = rng.randrange(len(comp) + 1)
-        comps.append(comp[:slot] + tuple(piece) + comp[slot:])
-    return SignedGaussCode(tuple(comps))
-
-
 @st.composite
 def walked_links(draw):
     """Signed links with 1-3 components after a short random walk, so that
@@ -82,7 +63,7 @@ def walked_links(draw):
     code = random_link_code(rng, n, k)
     code = random_walk(code, draw(st.integers(min_value=0, max_value=6)),
                        seed).code
-    return _with_triangle(rng, code) if draw(st.booleans()) else code
+    return with_triangle(rng, code) if draw(st.booleans()) else code
 
 
 @st.composite
