@@ -5,7 +5,9 @@ flat biquandle axioms force the unary family star = p^-1 a + k,
 sharp = p a - p k; the weight condition W+ + W- = 0 then forces p = 1,
 which is exactly the increment/decrement rule of the index polynomial.
 Preflats (axioms 1-2 only) are a strictly larger family and still give
-move I/II invariants of colorings: doodle pre-invariants.
+move I/II invariants of colorings: doodle pre-invariants.  Axioms 1 and 2
+also say a coloring extends uniquely through moves I and II, which is how
+transport_coloring carries one through a curl and back.
 """
 
 from vknot import (
@@ -16,10 +18,13 @@ from vknot import (
     forget,
     make_affine,
     parse_signed,
+    serialize,
     search_affine,
+    transport_coloring,
     unary_affine_params,
     weight_condition,
 )
+from vknot.moves import MoveSite, R1_DELETE, R1_INSERT, find_move_sites
 
 print("affine flat biquandles over Z/5 (r s k p q l):")
 for params in search_affine(5):
@@ -49,3 +54,15 @@ print(f"virtual trefoil colorings under the q=2 preflat: {len(colorings)}")
 for labels in colorings:
     vec = doodle_pre_invariant(code, preflat, labels)
     print(f"  labels {labels[0]} -> doodle vector {vec}")
+print()
+
+labels = colorings[1]
+print(f"curl round trip under the q=2 preflat, from labels {labels[0]}:")
+curl = MoveSite(R1_INSERT, gaps=((0, 2),), sign=-1)
+curled, curled_labels = transport_coloring(code, labels, curl, preflat)
+print(f"  {curl.describe()}: {serialize(curled)}  labels {curled_labels[0]}"
+      f"  doodle {doodle_pre_invariant(curled, preflat, curled_labels)}")
+uncurl = find_move_sites(curled, R1_DELETE)[0]
+back, back_labels = transport_coloring(curled, curled_labels, uncurl, preflat)
+print(f"  {uncurl.describe()}: {serialize(back)}  labels {back_labels[0]}"
+      f"  doodle {doodle_pre_invariant(back, preflat, back_labels)}")

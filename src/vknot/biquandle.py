@@ -31,7 +31,6 @@ from math import gcd
 from . import moves
 from .errors import ValidationError
 from .gauss_code import Diagram, SignedGaussCode
-from .diagram_ops import writhe
 
 
 @dataclass(frozen=True)
@@ -278,18 +277,22 @@ def enumerate_colorings(flat: Diagram, b: FiniteFlatBiquandle):
 def enumerate_colorings_fast(flat: Diagram, b: FiniteFlatBiquandle):
     """Backtracking enumeration; agrees with enumerate_colorings, same order.
 
-    Arcs are assigned in component-major order and every crossing constraint
-    is checked as soon as its three arcs are known, pruning early.  Like
-    check_coloring it accepts any code, reading a signed one through the
-    flat roles of its passages.
+    Like check_coloring it accepts any code, reading a signed one through
+    the flat roles of its passages.
+    """
+    return _colorings(flat, b, {})
+
+
+def _colorings(flat: Diagram, b: FiniteFlatBiquandle, fixed):
+    """The colorings whose arc (c, i) carries fixed[(c, i)] wherever given.
+
+    Arcs are assigned in component-major order, each over its one fixed
+    label or all of Z/n, and every crossing constraint is checked as soon
+    as its three arcs are known, pruning early.
     """
     counts = _arc_counts(flat)
-    offsets = []
-    acc = 0
-    for c in counts:
-        offsets.append(acc)
-        acc += c
-    total = acc
+    offsets = list(itertools.accumulate(counts, initial=0))
+    total = offsets[-1]
 
     by_trigger: dict[int, list] = {}
     for row in flat.table.rows:
@@ -299,6 +302,9 @@ def enumerate_colorings_fast(flat: Diagram, b: FiniteFlatBiquandle):
         orr, ol = offsets[rc] + rp, offsets[lc] + lp
         by_trigger.setdefault(max(ar, al, orr), []).append(("#", ar, al, orr))
         by_trigger.setdefault(max(ar, al, ol), []).append(("*", ar, al, ol))
+    choices = [range(b.n)] * total
+    for (ci, arc), label in fixed.items():
+        choices[offsets[ci] + arc] = (label,)
 
     star, sharp = b.star, b.sharp
     assignment = [0] * total
@@ -311,7 +317,7 @@ def enumerate_colorings_fast(flat: Diagram, b: FiniteFlatBiquandle):
                 labels.append(tuple(assignment[offsets[ci]:offsets[ci] + c]))
             out.append(tuple(labels))
             return
-        for v in range(b.n):
+        for v in choices[i]:
             assignment[i] = v
             ok = True
             for op, ar, al, target in by_trigger.get(i, ()):
@@ -339,6 +345,11 @@ def doodle_pre_invariant(code: SignedGaussCode, b: FiniteFlatBiquandle, labels) 
         raise ValueError("biquandle fails the weight condition")
     if not check_coloring(code, b, labels):
         raise ValidationError("labels do not color the diagram under this table")
+    return _doodle_vector(code, b, labels)
+
+
+def _doodle_vector(code: SignedGaussCode, b: FiniteFlatBiquandle, labels) -> tuple[int, ...]:
+    """doodle_pre_invariant without its table and coloring checks."""
     n = b.n
     vector = [0] * n
     for row in code.table.rows:
@@ -350,142 +361,82 @@ def doodle_pre_invariant(code: SignedGaussCode, b: FiniteFlatBiquandle, labels) 
         else:
             w = (bb - b.sharp[a][bb]) % n
         vector[w] += row.sign
-    vector[0] -= writhe(code)
+        vector[0] -= row.sign  # the writhe term
     return tuple(vector)
+
+
+def _doodle_vectors(code: SignedGaussCode, b: FiniteFlatBiquandle) -> list[tuple[int, ...]]:
+    """The pre-invariant of each coloring from enumerate_colorings_fast, in
+    its order.  The colorings need no check, and the weight condition is
+    checked once, when there is a coloring."""
+    colorings = enumerate_colorings_fast(code, b)
+    if colorings and weight_condition(b) is not None:
+        raise ValueError("biquandle fails the weight condition")
+    return [_doodle_vector(code, b, labels) for labels in colorings]
 
 
 def doodle_invariant_sum(code: SignedGaussCode, b: FiniteFlatBiquandle) -> tuple[int, ...]:
     """Componentwise sum of the pre-invariant over all colorings."""
     total = [0] * b.n
-    for labels in enumerate_colorings_fast(code, b):
-        vec = doodle_pre_invariant(code, b, labels)
+    for vec in _doodle_vectors(code, b):
         total = [t + v for t, v in zip(total, vec)]
     return tuple(total)
 
 
 # -- coloring transport through moves I and II --------------------------------
 
-def _axiom1_x(b: FiniteFlatBiquandle, a: int) -> int:
-    xs = [x for x in range(b.n) if b.sharp[a][x] == x and b.star[x][a] == a]
-    if len(xs) != 1:
-        raise ValueError("axiom 1 fails; cannot transport a curl")
-    return xs[0]
-
-
-def _axiom1_y(b: FiniteFlatBiquandle, a: int) -> int:
-    ys = [y for y in range(b.n) if b.star[a][y] == y and b.sharp[y][a] == a]
-    if len(ys) != 1:
-        raise ValueError("axiom 1 fails; cannot transport a curl")
-    return ys[0]
-
-
-def _entering(labels, comp_size, ci, slot):
-    comp = labels[ci]
-    return comp[(slot - 1) % comp_size] if comp_size else comp[0]
-
-
 def transport_coloring(code: SignedGaussCode, labels, site, b: FiniteFlatBiquandle):
     """Apply a move I or II site and carry a biquandle coloring through it.
 
-    Returns (new_code, new_labels).  Insertions solve the axiom equations
-    for the new interior arcs; deletions drop interior arcs and check that
-    the fused boundary labels agree.  Move III sites are rejected (the
-    doodle pre-invariant is only a move I/II invariant).
+    Returns (new_code, new_labels).  moves.apply_move rewrites the code,
+    and the new labels solve the crossing equations with these arcs fixed:
+
+    - both sides of every passage that survives the move (same crossing
+      and role) keep their labels;
+    - a component that had no passages keeps its circle label on its
+      closing arc, the one entering its first passage;
+    - a component the move empties keeps the label after its deleted pairs.
+
+    The open arcs are those inside inserted patterns.  Axioms 1 and 2 say
+    that exactly one solution exists, so ValueError is raised, naming the
+    site, when there is none or more than one; AssertionError if fixed
+    labels on one arc differ.  Move III sites are rejected with ValueError
+    (the doodle pre-invariant is only a move I/II invariant).
     """
     if not check_coloring(code, b, labels):
         raise ValidationError("labels do not color the diagram under this table")
     new_code = moves.apply_move(code, site)
-    comp_sizes = [len(c) for c in code.components]
-
-    if site.kind == moves.R1_INSERT:
-        (ci, slot) = site.gaps[0]
-        entering = _entering(labels, comp_sizes[ci], ci, slot)
-        mid = _axiom1_x(b, entering) if site.sign > 0 else _axiom1_y(b, entering)
-        new_labels = _insert_pair_labels(labels, ci, slot,
-                                         comp_sizes[ci] == 0, (mid, entering))
-    elif site.kind == moves.R2_INSERT:
-        (c1, s1), (c2, s2) = site.gaps
-        u = _entering(labels, comp_sizes[c1], c1, s1)
-        v = _entering(labels, comp_sizes[c2], c2, s2)
-        u1, v1 = _poke_interior(b, site, u, v)
-        if c1 == c2 and s2 >= s1:
-            # mirror apply_move: under pair first keeps the over slot valid
-            new_labels = _insert_pair_labels(labels, c2, s2,
-                                             comp_sizes[c2] == 0, (v1, v))
-            new_labels = _insert_pair_labels(new_labels, c1, s1, False, (u1, u))
-        else:
-            new_labels = _insert_pair_labels(labels, c1, s1,
-                                             comp_sizes[c1] == 0, (u1, u))
-            new_labels = _insert_pair_labels(new_labels, c2, s2,
-                                             False if c1 == c2 else comp_sizes[c2] == 0,
-                                             (v1, v))
-    elif site.kind in (moves.R1_DELETE, moves.R2_DELETE):
-        doomed: dict[int, set[int]] = {}
-        for ci, i in site.pairs:
-            n = comp_sizes[ci]
-            doomed.setdefault(ci, set()).update({i, (i + 1) % n})
-        new_labels = []
-        for ci, comp_labels in enumerate(labels):
-            dead = doomed.get(ci)
-            if not dead:
-                new_labels.append(tuple(comp_labels))
-                continue
-            n = comp_sizes[ci]
-            kept = [i for i in range(n) if i not in dead]
-            if not kept:
-                if len(set(comp_labels)) != 1:
-                    raise AssertionError("inconsistent labels on a vanishing component")
-                new_labels.append((comp_labels[0],))
-                continue
-            for idx, i in enumerate(kept):
-                j = kept[(idx + 1) % len(kept)]
-                if (i + 1) % n != j and comp_labels[i] != comp_labels[(j - 1) % n]:
-                    raise AssertionError("fused arcs carry different labels")
-            new_labels.append(tuple(comp_labels[i] for i in kept))
-    else:
+    if site.kind not in (moves.R1_INSERT, moves.R1_DELETE,
+                         moves.R2_INSERT, moves.R2_DELETE):
         raise ValueError(f"transport does not support {site.kind}")
 
-    new_labels = tuple(tuple(c) for c in new_labels)
-    if not check_coloring(new_code, b, new_labels):
+    fixed: dict[tuple[int, int], int] = {}
+
+    def fix(arc, label):
+        if fixed.setdefault(arc, label) != label:
+            raise AssertionError("fused arcs carry different labels")
+
+    sides = {(p.crossing, p.role): (labels[ci][pi - 1], labels[ci][pi])
+             for ci, pi, p in code.passages()}
+    for ci, comp in enumerate(new_code.components):
+        for pi, p in enumerate(comp):
+            if (p.crossing, p.role) in sides:
+                before, after = sides[(p.crossing, p.role)]
+                fix((ci, (pi - 1) % len(comp)), before)
+                fix((ci, pi), after)
+        if not code.components[ci]:
+            fix((ci, max(len(comp), 1) - 1), labels[ci][0])
+    for ci, i in site.pairs:
+        if not new_code.components[ci]:
+            fix((ci, 0), labels[ci][(i + 1) % len(code.components[ci])])
+
+    found = _colorings(new_code, b, fixed)
+    if len(found) != 1:
+        raise ValueError(f"site {site.describe()}: {len(found)} colorings extend "
+                         f"the labels, not 1; the table fails axiom 1 or 2")
+    if not check_coloring(new_code, b, found[0]):
         raise AssertionError("transported labels do not color the new diagram")
-    return new_code, new_labels
-
-
-def _insert_pair_labels(labels, ci, slot, was_empty, pair):
-    first, second = pair
-    out = list(labels)
-    comp = list(out[ci])
-    if was_empty:
-        # the lone circle arc is split by the inserted pattern
-        out[ci] = (first, second)
-    else:
-        out[ci] = tuple(comp[:slot] + [first, second] + comp[slot:])
-    return out
-
-
-def _poke_interior(b: FiniteFlatBiquandle, site, u: int, v: int):
-    """Interior labels (after O_a, after U-pair first passage) of a poke."""
-    s = site.sign
-    star, sharp = b.star, b.sharp
-    if site.variant == moves.COHERENT:
-        if s > 0:
-            return sharp[u][v], star[v][u]
-        return star[u][v], sharp[v][u]
-    if site.variant == moves.ANTIPARALLEL:
-        solutions = []
-        for y in range(b.n):
-            if s > 0:
-                x = sharp[u][y]
-                if sharp[v][x] == y:
-                    solutions.append((x, y))
-            else:
-                x = star[u][y]
-                if star[v][x] == y:
-                    solutions.append((x, y))
-        if len(solutions) != 1:
-            raise ValueError("poke interior labels are not unique; axiom 2 fails")
-        return solutions[0]
-    raise ValueError(f"unknown R2 variant {site.variant!r}")
+    return new_code, found[0]
 
 
 # -- table file format ---------------------------------------------------------

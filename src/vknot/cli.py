@@ -303,6 +303,7 @@ def _cmd_biquandle(args, out):
     if args.action == "check":
         table = _read_table(args.arg1)
         report = bq.check_axioms(table)
+        weight = bq.weight_condition(table)
         _emit({
             "n": table.n,
             "axiom1": "pass" if report.axiom1 is None else list(report.axiom1),
@@ -310,8 +311,7 @@ def _cmd_biquandle(args, out):
             "axiom3": "pass" if report.axiom3 is None else list(report.axiom3),
             "is_preflat": report.is_preflat,
             "is_flat_biquandle": report.is_flat_biquandle,
-            "weight_condition": "pass" if bq.weight_condition(table) is None
-                                else list(bq.weight_condition(table)),
+            "weight_condition": "pass" if weight is None else list(weight),
         }, args.format, out)
         return EXIT_OK
     if args.action == "color":
@@ -330,13 +330,11 @@ def _cmd_biquandle(args, out):
     if args.action == "doodle":
         code = parse_signed(args.arg1)
         table = _read_table(args.arg2)
-        colorings = bq.enumerate_colorings_fast(code, table)
-        vectors = [list(bq.doodle_pre_invariant(code, table, labels))
-                   for labels in colorings]
+        vectors = [list(vec) for vec in bq._doodle_vectors(code, table)]
         _emit({
             "code": serialize(code),
             "n": table.n,
-            "colorings": len(colorings),
+            "colorings": len(vectors),
             "vectors": vectors,
             "sum": [sum(column) for column in zip(*vectors)] or [0] * table.n,
         }, args.format, out)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from vknot import (
     parse_flat,
     parse_signed,
     search_affine,
+    serialize,
     table_from_text,
     table_to_text,
     transport_coloring,
@@ -226,7 +228,9 @@ class TestDoodle:
         assert total == (-10, 5, 0, 0, 5)
 
 
-def _random_r1r2_walk_with_transport(code, labels, table, steps, seed):
+def _r1r2_walk(code, labels, table, steps, seed):
+    """Seeded R1/R2 moves with the coloring transported through each one;
+    yields (site, (code, labels) before, (code, labels) after) per move."""
     rng = random.Random(seed)
     for _ in range(steps):
         gaps = [(ci, slot) for ci, comp in enumerate(code.components)
@@ -245,21 +249,25 @@ def _random_r1r2_walk_with_transport(code, labels, table, steps, seed):
                             variant=rng.choice((COHERENT, ANTIPARALLEL)))
         else:
             site = rng.choice(deletions[kind])
-        code, labels = transport_coloring(code, labels, site, table)
-    return code, labels
+        after = transport_coloring(code, labels, site, table)
+        yield site, (code, labels), after
+        code, labels = after
 
 
 class TestTransport:
     @pytest.mark.parametrize("q", [0, 2, 3])
     def test_doodle_invariant_under_r1_r2(self, q):
         table = basic_preflat(5, q, 1)
-        code = parse_signed("O1+ O2+ U1+ U2+")
-        for labels in enumerate_colorings_fast(forget(code), table)[:2]:
-            base = doodle_pre_invariant(code, table, labels)
-            new_code, new_labels = _random_r1r2_walk_with_transport(
-                code, labels, table, steps=25, seed=13 + q)
-            assert check_coloring(forget(new_code), table, new_labels)
-            assert doodle_pre_invariant(new_code, table, new_labels) == base
+        for text in ("O1+ O2+ U1+ U2+", "O1+ U1+", "() ; O1+ U2+ ; O2+ U1+",
+                     "O1+ O2- ; U1+ U2-"):
+            code = parse_signed(text)
+            for labels in enumerate_colorings_fast(code, table)[:2]:
+                base = doodle_pre_invariant(code, table, labels)
+                for _, _, (new_code, new_labels) in _r1r2_walk(
+                        code, labels, table, steps=25, seed=13 + q):
+                    assert check_coloring(new_code, table, new_labels)
+                    assert doodle_pre_invariant(new_code, table,
+                                                new_labels) == base
 
     def test_r3_rejected(self):
         table = increment_biquandle()
@@ -268,6 +276,107 @@ class TestTransport:
         site = find_move_sites(code, "R3")[0]
         with pytest.raises(ValueError):
             transport_coloring(code, labels, site, table)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_axiom1_failure_rejects_a_curl(self, sign):
+        table = make_affine(AffineParams(5, 0, 0, 0, 0, 0, 0))
+        assert check_axioms(table).axiom1 is not None
+        site = MoveSite(R1_INSERT, gaps=((0, 0),), sign=sign)
+        with pytest.raises(ValueError, match="R1_insert .*: 0 colorings"):
+            transport_coloring(parse_signed("()"), ((1,),), site, table)
+
+    def test_axiom2_uniqueness_failure_rejects_an_antiparallel_poke(self):
+        # a*b = b, a#b = a - b: axiom 1 and both identities of axiom 2 hold
+        table = make_affine(AffineParams(5, 0, 1, 0, 1, 4, 0))
+        star, sharp = table.star, table.sharp
+        assert all(star[sharp[a][b]][star[b][a]] == a
+                   and sharp[star[b][a]][sharp[a][b]] == b
+                   for a in range(5) for b in range(5))
+        report = check_axioms(table)
+        assert report.axiom1 is None and report.axiom2 is not None
+        site = MoveSite(R2_INSERT, gaps=((0, 0), (0, 0)), sign=1,
+                        variant=ANTIPARALLEL)
+        with pytest.raises(ValueError, match="antiparallel: 5 colorings"):
+            transport_coloring(parse_signed("()"), ((2,),), site, table)
+
+    def test_r1_delete_empties_a_component(self):
+        table = basic_preflat(5, 2, 1)
+        code = parse_signed("O1+ U1+")
+        for labels in enumerate_colorings_fast(code, table):
+            site = MoveSite(R1_DELETE, pairs=((0, 0),))
+            new_code, new_labels = transport_coloring(code, labels, site, table)
+            assert new_code == parse_signed("()")
+            assert new_labels == ((labels[0][1],),)
+
+    def test_r2_delete_empties_two_components(self):
+        table = basic_preflat(7, 3, 1)
+        code = parse_signed("O1+ O2- ; U1+ U2-")
+        site = MoveSite(R2_DELETE, pairs=((0, 0), (1, 0)), variant=COHERENT)
+        for labels in enumerate_colorings_fast(code, table):
+            new_code, new_labels = transport_coloring(code, labels, site, table)
+            assert new_code == parse_signed("() ; ()")
+            assert new_labels == ((labels[0][1],), (labels[1][1],))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_curl_round_trip_on_a_circle(self, sign):
+        table = basic_preflat(5, 3, 1)
+        circle = parse_signed("()")
+        for x in range(table.n):
+            code, labels = transport_coloring(
+                circle, ((x,),), MoveSite(R1_INSERT, gaps=((0, 0),), sign=sign),
+                table)
+            assert labels[0][-1] == x
+            site, = find_move_sites(code, R1_DELETE)
+            assert transport_coloring(code, labels, site, table) \
+                == (circle, ((x,),))
+
+
+# Tables and starts of the parity walks: preflats that fail axiom 3 for
+# q = 2, 3, and flat biquandles of the closed-form unary family.
+PARITY_TABLES = (
+    [basic_preflat(n, q, 1) for n in (5, 7) for q in (0, 2, 3)]
+    + [make_affine(unary_affine_params(n, alpha, k))
+       for n in (5, 7) for alpha, k in ((1, 2), (2, 0), (3, 1))])
+PARITY_STARTS = ("O1+ O2+ U1+ U2+", "O1- U2- O3- U1- O2- U3-", "O1+ U1+",
+                 "()", "O1+ O2- ; U1+ U2-", "() ; O1+ U2+ ; O2+ U1+", "() ; ()")
+# sha256 of the transported (code, labels) at every pinned step, recorded
+# from the earlier transport that replayed each move's geometry by hand
+PARITY_DIGEST = ("f8a801f0c436efe3c0d405d1688efb96"
+                 "436008c59b349520b7d086af22a052c4")
+
+
+def _empties_varied_component(before, after):
+    """True if the move leaves a component without passages whose labels
+    were not all equal; the earlier transport raised on such moves, so
+    they are outside the pinned digest."""
+    (code, labels), (new_code, _) = before, after
+    return any(old and not new and len(set(comp_labels)) > 1
+               for old, new, comp_labels
+               in zip(code.components, new_code.components, labels))
+
+
+class TestTransportParity:
+    def test_pinned_results_and_doodle_vectors(self):
+        digest = hashlib.sha256()
+        pinned = emptied = 0
+        for ti, table in enumerate(PARITY_TABLES):
+            weighted = weight_condition(table) is None
+            for si, text in enumerate(PARITY_STARTS):
+                code = parse_signed(text)
+                for labels in enumerate_colorings_fast(code, table)[:2]:
+                    base = weighted and doodle_pre_invariant(code, table, labels)
+                    for _, before, after in _r1r2_walk(
+                            code, labels, table, steps=20, seed=100 * ti + si):
+                        if weighted:
+                            assert doodle_pre_invariant(after[0], table,
+                                                        after[1]) == base
+                        if _empties_varied_component(before, after):
+                            emptied += 1
+                            continue
+                        pinned += 1
+                        digest.update(f"{serialize(after[0])} {after[1]}\n".encode())
+        assert (pinned, emptied) == (3225, 135)
+        assert digest.hexdigest() == PARITY_DIGEST
 
 
 class TestColoringCountInvariance:

@@ -1,7 +1,8 @@
 import io
 import json
 
-from vknot import basic_preflat, table_to_text, unary_affine_params, make_affine
+from vknot import basic_preflat, biquandle, make_affine, parse_signed, \
+    table_to_text, unary_affine_params
 from vknot.cli import execute
 
 
@@ -178,6 +179,29 @@ class TestBiquandleCommands:
         assert data["colorings"] == 0
         assert data["vectors"] == []
         assert data["sum"] == [0, 0, 0, 0, 0]
+
+    def test_table_checks_run_once_per_call(self, tmp_path, monkeypatch):
+        calls = {"weight_condition": 0, "check_coloring": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(biquandle, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(biquandle, name, counted)
+        table = basic_preflat(5, 2, 1)
+        table_path = tmp_path / "preflat.tbl"
+        table_path.write_text(table_to_text(table), encoding="utf-8")
+        code = "O1+ O2- U1+ U2- ; O3+ U3+ ; ()"
+        data = run_json(["biquandle", "doodle", code, str(table_path)])
+        assert data["colorings"] == 125
+        assert calls == {"weight_condition": 1, "check_coloring": 0}
+        assert list(biquandle.doodle_invariant_sum(parse_signed(code), table)) \
+            == data["sum"]
+        assert calls == {"weight_condition": 2, "check_coloring": 0}
+        run_json(["biquandle", "check", str(table_path)])
+        assert calls == {"weight_condition": 3, "check_coloring": 0}
+        labels = biquandle.enumerate_colorings_fast(parse_signed(code), table)[0]
+        biquandle.doodle_pre_invariant(parse_signed(code), table, labels)
+        assert calls == {"weight_condition": 4, "check_coloring": 1}
 
     def test_check_reports_axiom3_failure(self, tmp_path):
         table_path = tmp_path / "preflat.tbl"
