@@ -1,9 +1,11 @@
 """The finite algebra behind the labeling rule.
 
-Exhaustive search over all N^6 affine operation pairs on Z/N shows the
-flat biquandle axioms force the unary family star = p^-1 a + k,
-sharp = p a - p k; the weight condition W+ + W- = 0 then forces p = 1,
-which is exactly the increment/decrement rule of the index polynomial.
+Solving the flat biquandle axioms for affine operation pairs on Z/5 (an
+affine identity holds for all labels exactly when its coefficients agree
+mod N) shows they force the unary family star = p^-1 a + k,
+sharp = p a - p k; zero divisors add more solutions at N = 4, 8 and 9.
+The weight condition W+ + W- = 0 then forces p = 1, which is exactly the
+increment/decrement rule of the index polynomial.
 Preflats (axioms 1-2 only) are a strictly larger family and still give
 move I/II invariants of colorings: doodle pre-invariants.  Axioms 1 and 2
 also say a coloring extends uniquely through moves I and II, which is how

@@ -9,12 +9,14 @@ two strands of a flat crossing by
 is coherent with the flat Reidemeister moves.  Axioms 1 and 2 alone (move I
 and both orientations of move II) define a preflat; axiom 3 adds move III.
 The integer rule behind the index polynomial is the case a*b = a+1,
-a#b = a-1, and the affine search below recovers the fact that, over Z/N,
-full flat biquandles given by affine formulas
+a#b = a-1.  Among the full flat biquandles over Z/N given by affine formulas
 
     a*b = r a + s b + k       a#b = p a + q b + l
 
-are exactly the unary pairs star = p^-1 a + k, sharp = p a - p k.
+are the unary pairs star = p^-1 a + k, sharp = p a - p k.  The affine
+search below finds these and nothing else for N = 2, 3, 5, 6 and 7, but
+zero divisors give more at N = 4, 8 and 9: 16, 64 and 162 solutions
+against 8, 32 and 54 unary pairs.
 
 Generalized crossing weights are W_plus = a - b*a and W_minus = b - a#b
 (incoming right label a, incoming left label b); a table can feed a
@@ -179,30 +181,60 @@ def check_axioms(b: FiniteFlatBiquandle) -> AxiomReport:
                        _axiom3_witness(n, star, sharp))
 
 
-def search_affine(n: int) -> list[AffineParams]:
-    """Exhaustive scan of all n^6 affine parameter tuples over Z/n.
+def _affine_identities_hold(n, r, s, k, p, q, l, labels) -> bool:
+    """True if the two axiom-2 identities and the three axiom-3 identities
+    of star = r a + s b + k, sharp = p a + q b + l hold at every (a, b, c)
+    in labels."""
+    for a, b, c in labels:
+        ab = (p * a + q * b + l) % n             # a#b
+        ba = (r * b + s * a + k) % n             # b*a
+        if (r * ab + s * ba + k) % n != a or (p * ba + q * ab + l) % n != b:
+            return False
+        cb = (r * c + s * b + k) % n             # c*b
+        bc = (p * b + q * c + l) % n             # b#c
+        a_cb = (p * a + q * cb + l) % n          # a#(c*b)
+        c_ab = (r * c + s * ab + k) % n          # c*(a#b)
+        if ((p * ab + q * c + l) % n != (p * a_cb + q * bc + l) % n
+                or (r * cb + s * a + k) % n != (r * c_ab + s * ba + k) % n
+                or (r * bc + s * a_cb + k) % n != (p * ba + q * c_ab + l) % n):
+            return False
+    return True
 
-    Returns the tuples whose tables pass all three axioms, in lexicographic
-    parameter order.  For every tested modulus this set coincides with the
-    closed form produced by closed_form_affine().
+
+_BASIS_LABELS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_ZERO_LABEL = ((0, 0, 0),)
+
+
+def search_affine(n: int) -> list[AffineParams]:
+    """All affine parameter tuples over Z/n whose tables pass the three
+    axioms, in lexicographic (r, s, k, p, q, l) order.
+
+    Both sides of each identity in axioms 2 and 3 are affine forms in the
+    labels, so an identity holds for all labels exactly when its
+    coefficients agree mod n.  The linear coefficients do not depend on
+    (k, l): stage 1 keeps the (r, s, p, q) whose identities hold at the
+    basis labels with k = l = 0, and stage 2 keeps the (k, l) whose
+    identities then hold at the zero label.  Stage 3 checks each survivor's
+    tables against all three axioms, which alone enforce axiom 1 and the
+    uniqueness clause of axiom 2.
     """
     if n < 2:
         raise ValueError("carrier must have at least two elements")
     rng = range(n)
-    tables = {(c1, c2, c0): _affine_table(n, c1, c2, c0)
-              for c1 in rng for c2 in rng for c0 in rng}
     found = []
-    for r, s, k in itertools.product(rng, repeat=3):
-        star = tables[(r, s, k)]
-        for p, q, l in itertools.product(rng, repeat=3):
-            sharp = tables[(p, q, l)]
-            if _axiom1_witness(n, star, sharp) is not None:
+    for r, s, p, q in itertools.product(rng, repeat=4):
+        if not _affine_identities_hold(n, r, s, 0, p, q, 0, _BASIS_LABELS):
+            continue
+        for k, l in itertools.product(rng, repeat=2):
+            if not _affine_identities_hold(n, r, s, k, p, q, l, _ZERO_LABEL):
                 continue
-            if _axiom2_witness(n, star, sharp) is not None:
-                continue
-            if _axiom3_witness(n, star, sharp) is not None:
-                continue
-            found.append(AffineParams(n, r, s, k, p, q, l))
+            star = _affine_table(n, r, s, k)
+            sharp = _affine_table(n, p, q, l)
+            if (_axiom1_witness(n, star, sharp) is None
+                    and _axiom2_witness(n, star, sharp) is None
+                    and _axiom3_witness(n, star, sharp) is None):
+                found.append(AffineParams(n, r, s, k, p, q, l))
+    found.sort(key=lambda a: (a.r, a.s, a.k, a.p, a.q, a.l))
     return found
 
 
@@ -286,22 +318,28 @@ def enumerate_colorings_fast(flat: Diagram, b: FiniteFlatBiquandle):
 def _colorings(flat: Diagram, b: FiniteFlatBiquandle, fixed):
     """The colorings whose arc (c, i) carries fixed[(c, i)] wherever given.
 
-    Arcs are assigned in component-major order, each over its one fixed
-    label or all of Z/n, and every crossing constraint is checked as soon
-    as its three arcs are known, pruning early.
+    Arcs are assigned in component-major order.  An arc leaving a crossing
+    whose two incoming arcs are assigned before it takes the one value its
+    equation forces, and no value if that disagrees with its fixed label;
+    any other arc runs over its one fixed label or all of Z/n.  Every other
+    crossing equation is checked as soon as its three arcs are known,
+    pruning early.
     """
     counts = _arc_counts(flat)
     offsets = list(itertools.accumulate(counts, initial=0))
     total = offsets[-1]
 
-    by_trigger: dict[int, list] = {}
+    forced = [None] * total
+    by_trigger: list[list] = [[] for _ in range(total)]
     for row in flat.table.rows:
         (rc, rp), (lc, lp) = row.right, row.left
         ar = offsets[rc] + (rp - 1) % counts[rc]
         al = offsets[lc] + (lp - 1) % counts[lc]
-        orr, ol = offsets[rc] + rp, offsets[lc] + lp
-        by_trigger.setdefault(max(ar, al, orr), []).append(("#", ar, al, orr))
-        by_trigger.setdefault(max(ar, al, ol), []).append(("*", ar, al, ol))
+        for op, target in (("#", offsets[rc] + rp), ("*", offsets[lc] + lp)):
+            if max(ar, al) < target:
+                forced[target] = (op, ar, al)
+            else:
+                by_trigger[max(ar, al)].append((op, ar, al, target))
     choices = [range(b.n)] * total
     for (ci, arc), label in fixed.items():
         choices[offsets[ci] + arc] = (label,)
@@ -317,10 +355,16 @@ def _colorings(flat: Diagram, b: FiniteFlatBiquandle, fixed):
                 labels.append(tuple(assignment[offsets[ci]:offsets[ci] + c]))
             out.append(tuple(labels))
             return
-        for v in choices[i]:
+        values = choices[i]
+        if forced[i] is not None:
+            op, ar, al = forced[i]
+            a, bb = assignment[ar], assignment[al]
+            v = sharp[a][bb] if op == "#" else star[bb][a]
+            values = (v,) if v in values else ()
+        for v in values:
             assignment[i] = v
             ok = True
-            for op, ar, al, target in by_trigger.get(i, ()):
+            for op, ar, al, target in by_trigger[i]:
                 a, bb = assignment[ar], assignment[al]
                 want = sharp[a][bb] if op == "#" else star[bb][a]
                 if assignment[target] != want:

@@ -256,12 +256,14 @@ def _cmd_flat(args, out):
     if not args.certificate:
         raise _UsageError("flat requires --certificate")
     cert = flat_nontriviality_certificate(flat)
+    # most resolutions share their polynomial; format each one once
+    texts = {p: str(p) for p in set(cert.polynomials)}
     _emit({
         "code": serialize(flat),
         "crossings": flat.n_crossings(),
         "certified": cert.certified,
         "witness": serialize(cert.witness) if cert.witness is not None else None,
-        "polynomials": [str(p) for p in cert.polynomials],
+        "polynomials": [texts[p] for p in cert.polynomials],
     }, args.format, out)
     return EXIT_OK
 

@@ -281,6 +281,37 @@ class FlatCertificate:
     polynomials: tuple[LaurentPolynomial, ...]
 
 
+def _resolution_polynomials(weights: list[int], counts: Counter[int]
+                            ) -> tuple[LaurentPolynomial, ...]:
+    """P of every resolution, in itertools.product((1, -1)) sign order.
+
+    With j_w of the m_w crossings of flat weight w positive, P is the sum
+    over w != 0 of j_w t^w - (m_w - j_w) t^-w - (2 j_w - m_w); weight-0
+    crossings cancel.  So P depends only on the count vector (j_w), and one
+    polynomial is built per count vector.  The mixed-radix number of a count
+    vector indexes that table, and each resolution gets a reference into it.
+    """
+    distinct = [w for w in counts if w]
+    radix, size = {0: 0}, 1
+    for w in reversed(distinct):
+        radix[w] = size
+        size *= counts[w] + 1
+    table = []
+    for js in itertools.product(*(range(counts[w] + 1) for w in distinct)):
+        coeffs = {0: 0}
+        for w, j in zip(distinct, js):
+            m = counts[w]
+            coeffs[w] = coeffs.get(w, 0) + j
+            coeffs[-w] = coeffs.get(-w, 0) - (m - j)
+            coeffs[0] -= 2 * j - m
+        table.append(LaurentPolynomial.from_dict(coeffs))
+    index = [0]
+    for w in reversed(weights):
+        step = radix[w]
+        index = [i + step for i in index] + index
+    return tuple(map(table.__getitem__, index))
+
+
 def flat_nontriviality_certificate(flat: FlatCode) -> FlatCertificate:
     """Certify a flat knot nontrivial: every resolution has P != 0.
 
@@ -301,15 +332,10 @@ def flat_nontriviality_certificate(flat: FlatCode) -> FlatCertificate:
     if len(flat.components) != 1:
         raise ValueError("flat certificates are defined for one-component codes")
     weights = flat_weights(flat)
-    polys = []
-    for choice in itertools.product((1, -1), repeat=len(weights)):
-        coeffs = {0: -sum(choice)}
-        for s, w in zip(choice, weights.values()):
-            coeffs[s * w] = coeffs.get(s * w, 0) + s
-        polys.append(LaurentPolynomial.from_dict(coeffs))
     counts = Counter(weights.values())
+    polys = _resolution_polynomials(list(weights.values()), counts)
     if any(counts[e] != counts[-e] for e in counts):
-        return FlatCertificate(True, None, tuple(polys))
+        return FlatCertificate(True, None, polys)
     placed: Counter[int] = Counter()
     signs = {}
     for cid, w in weights.items():
@@ -318,4 +344,4 @@ def flat_nontriviality_certificate(flat: FlatCode) -> FlatCertificate:
     witness = resolve(flat, signs)
     if not affine_index_polynomial(witness).is_zero():
         raise AssertionError("closed-form witness has a nonzero polynomial")
-    return FlatCertificate(False, witness, tuple(polys))
+    return FlatCertificate(False, witness, polys)

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from vknot import (
     AffineParams,
+    FiniteFlatBiquandle,
     basic_preflat,
     check_axioms,
     check_coloring,
@@ -28,9 +30,13 @@ from vknot import (
     unary_affine_params,
     weight_condition,
 )
+from vknot.biquandle import _affine_table, _axiom1_witness, \
+    _axiom2_witness, _axiom3_witness
 from vknot.errors import ValidationError
 from vknot.moves import ANTIPARALLEL, COHERENT, MoveSite, R1_DELETE, \
     R1_INSERT, R2_DELETE, R2_INSERT
+
+from conftest import random_knot_code
 
 
 def increment_biquandle(n=5):
@@ -108,7 +114,40 @@ class TestBasicPreflat:
             basic_preflat(5, 1, 0)
 
 
+def scan_affine(n):
+    """Reference search: table-check all n^6 affine tuples, in lexicographic
+    (r, s, k, p, q, l) order."""
+    rng = range(n)
+    tables = {(c1, c2, c0): _affine_table(n, c1, c2, c0)
+              for c1 in rng for c2 in rng for c0 in rng}
+    found = []
+    for r, s, k in itertools.product(rng, repeat=3):
+        star = tables[(r, s, k)]
+        for p, q, l in itertools.product(rng, repeat=3):
+            sharp = tables[(p, q, l)]
+            if _axiom1_witness(n, star, sharp) is not None:
+                continue
+            if _axiom2_witness(n, star, sharp) is not None:
+                continue
+            if _axiom3_witness(n, star, sharp) is not None:
+                continue
+            found.append(AffineParams(n, r, s, k, p, q, l))
+    return found
+
+
 class TestSearchAffine:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_exhaustive_scan(self, n):
+        assert search_affine(n) == scan_affine(n)
+
+    @pytest.mark.parametrize("n, count", [(8, 64), (9, 162)])
+    def test_composite_eight_and_nine(self, n, count):
+        found = search_affine(n)
+        assert len(found) == count
+        assert all(check_axioms(make_affine(p)).is_flat_biquandle
+                   for p in found)
+        assert closed_form_affine(n) <= set(found)
+
     def test_counts_small(self):
         assert len(search_affine(2)) == 2
         assert len(search_affine(3)) == 6
@@ -189,6 +228,27 @@ class TestEnumerateColorings:
     def test_empty_circle(self):
         assert len(enumerate_colorings(parse_flat("()"),
                                        increment_biquandle())) == 5
+
+    def test_forced_labels_at_eight_crossings(self):
+        # random Z/2 tables, two of them not even preflats; an arc leaving a
+        # crossing whose incoming arcs come first takes its forced label
+        flat = forget(random_knot_code(random.Random(808), 8))
+        assert flat.n_crossings() == 8
+        tables = []
+        for seed in (2, 3, 4):
+            rng = random.Random(seed)
+            star, sharp = ([[rng.randrange(2) for _ in range(2)]
+                            for _ in range(2)] for _ in range(2))
+            tables.append(FiniteFlatBiquandle(
+                2, tuple(map(tuple, star)), tuple(map(tuple, sharp))))
+        assert [check_axioms(t).is_preflat for t in tables] == \
+            [False, True, False]
+        counts = []
+        for table in tables:
+            brute = enumerate_colorings(flat, table)
+            assert enumerate_colorings_fast(flat, table) == brute
+            counts.append(len(brute))
+        assert counts == [2, 2, 6]
 
 
 class TestDoodle:
@@ -316,6 +376,24 @@ class TestTransport:
             new_code, new_labels = transport_coloring(code, labels, site, table)
             assert new_code == parse_signed("() ; ()")
             assert new_labels == ((labels[0][1],), (labels[1][1],))
+
+    def test_inserted_arcs_against_brute_force(self):
+        # the surviving passages' fixed labels meet the labels the
+        # backtracker forces inside each inserted pattern
+        def sides(code, labels):
+            return {(p.crossing, p.role): (labels[ci][pi - 1], labels[ci][pi])
+                    for ci, pi, p in code.passages()}
+
+        table = make_affine(unary_affine_params(3, 2, 1))
+        code = parse_signed("O1+ U1+")
+        sites = find_move_sites(code, R1_INSERT) + find_move_sites(code, R2_INSERT)
+        assert len(sites) > 10
+        for labels in enumerate_colorings_fast(code, table):
+            old = sides(code, labels).items()
+            for site in sites:
+                new_code, new_labels = transport_coloring(code, labels, site, table)
+                assert [c for c in enumerate_colorings(new_code, table)
+                        if old <= sides(new_code, c).items()] == [new_labels]
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_curl_round_trip_on_a_circle(self, sign):

@@ -130,3 +130,16 @@ class TestCertificateAgainstSweep:
         for flat in all_flat_knot_codes(3):
             assert flat_nontriviality_certificate(flat) == \
                 reference_certificate(flat)
+
+    def test_ten_and_eleven_crossings(self):
+        rng = random.Random(1111)
+        flats = [random_flat_knot(rng, n) for n in (10, 11, 11)]
+        weights = [list(flat_weights(flat).values()) for flat in flats]
+        assert sum(0 in w for w in weights) == 2
+        assert all(len(set(w)) < len(w) for w in weights)
+        outcomes = set()
+        for flat in flats:
+            got = flat_nontriviality_certificate(flat)
+            assert got == reference_certificate(flat)
+            outcomes.add(got.certified)
+        assert outcomes == {True, False}
