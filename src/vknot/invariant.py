@@ -57,6 +57,14 @@ class WeightTable:
     def signed_weights(self) -> list[tuple[int, int]]:
         return [(e.sign, e.weight) for e in self.entries]
 
+    def polynomial(self) -> LaurentPolynomial:
+        """The sum over crossings of sign(c) * (t^W(c) - 1)."""
+        coeffs: dict[int, int] = {}
+        for e in self.entries:
+            coeffs[e.weight] = coeffs.get(e.weight, 0) + e.sign
+            coeffs[0] = coeffs.get(0, 0) - e.sign
+        return LaurentPolynomial.from_dict(coeffs)
+
 
 def crossing_weights(code: SignedGaussCode, coloring: ChengColoring | None = None) -> WeightTable:
     """Weight table for a colored diagram (canonical coloring for knots).
@@ -85,25 +93,17 @@ def crossing_weights(code: SignedGaussCode, coloring: ChengColoring | None = Non
     return WeightTable(tuple(entries))
 
 
-def _polynomial_from_weights(table: WeightTable) -> LaurentPolynomial:
-    coeffs: dict[int, int] = {}
-    for e in table.entries:
-        coeffs[e.weight] = coeffs.get(e.weight, 0) + e.sign
-        coeffs[0] = coeffs.get(0, 0) - e.sign
-    return LaurentPolynomial.from_dict(coeffs)
-
-
 def affine_index_polynomial(code: SignedGaussCode) -> LaurentPolynomial:
     """P_K(t) for a one-component code, using the canonical coloring."""
     if len(code.components) != 1:
         raise ValueError("affine_index_polynomial needs a one-component code; "
                          "use link_pair_polynomial for links")
-    return _polynomial_from_weights(crossing_weights(code))
+    return crossing_weights(code).polynomial()
 
 
 def link_pair_polynomial(code: SignedGaussCode, coloring: ChengColoring) -> LaurentPolynomial:
     """The same weight sum over all crossings with a supplied coloring."""
-    return _polynomial_from_weights(crossing_weights(code, coloring))
+    return crossing_weights(code, coloring).polynomial()
 
 
 @dataclass(frozen=True)

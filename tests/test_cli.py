@@ -1,9 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from vknot import basic_preflat, biquandle, make_affine, parse_signed, \
     table_to_text, unary_affine_params
+from vknot import cli
 from vknot.cli import execute
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -224,6 +233,11 @@ class TestBiquandleCommands:
         code, _out, _err = run(["biquandle", "check", "/nonexistent.tbl"])
         assert code == 1
 
+    def test_directory_is_usage_error(self, tmp_path):
+        code, out, err = run(["biquandle", "check", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ")
+
     def test_missing_table_argument(self):
         code, _out, err = run(["biquandle", "color", "R1 L1"])
         assert code == 1 and "FILE" in err
@@ -250,6 +264,35 @@ class TestBatch:
         assert records[1]["polynomial"] == "0"
         assert "error" in records[2]
 
+    def test_internal_failure_keeps_every_record(self, tmp_path,
+                                                 monkeypatch):
+        batch = tmp_path / "codes.txt"
+        batch.write_text("O1+ O2+ U1+ U2+\nO1+ U1+\nO1+ O1+ U1+\n"
+                         "O1+ U2+ O3+ U1+ O2+ U3+\n", encoding="utf-8")
+        argv = ["batch", "--input", str(batch)]
+        clean = run_json(argv)
+        original = cli.canonicalize
+
+        def drifting(code):
+            if code.n_crossings() == 1:
+                raise AssertionError("canonical form drifted")
+            return original(code)
+
+        monkeypatch.setattr(cli, "canonicalize", drifting)
+        code, out, err = run(argv)
+        assert (code, err) == (4, "")
+        records = json.loads(out)
+        assert [r["line"] for r in records] == [1, 2, 3, 4]
+        assert records[1] == {"line": 2, "code": "O1+ U1+",
+                              "error": "canonical form drifted"}
+        assert [records[i] for i in (0, 2, 3)] \
+            == [clean[i] for i in (0, 2, 3)]
+
+    def test_directory_is_usage_error(self, tmp_path):
+        code, out, err = run(["batch", "--input", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ")
+
     def test_csv(self, tmp_path):
         batch = tmp_path / "codes.txt"
         batch.write_text("O1+ O2+ U1+ U2+\nO1+ U1+\n", encoding="utf-8")
@@ -267,3 +310,34 @@ class TestUsage:
     def test_unknown_command(self):
         code, _out, _err = run(["frobnicate"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["vassiliev", "--max-order", "0", "O1+ O2+ U1+ U2+"],
+        ["vassiliev", "--max-order", "-2", "O1+ U1+"],
+        ["moves", "--walk", "-3", "O1+ O2+ U1+ U2+"],
+        ["verify", "--trials", "-1"],
+        ["verify", "--steps", "-1"],
+    ], ids=["max-order", "max-order-negative", "walk", "trials", "steps"])
+    def test_count_below_minimum(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: argument {argv[1]}: must be at least "
+                       f"{1 if argv[1] == '--max-order' else 0}, "
+                       f"got {argv[2]}\n")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["biquandle", "-h"]])
+    def test_help_returns_zero(self, argv, capsys):
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: vknot")
+        assert capsys.readouterr() == ("", "")
+
+    def test_module_prints_the_same_help(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-m", "vknot", "--help"],
+                                env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == run(["--help"])[1]
